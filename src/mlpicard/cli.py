@@ -82,9 +82,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f"error: query time maps to canonical {s}, outside "
             f"[0, {canonical.horizon})")
     x = _parse_point(args.x, canonical.dimension)
-    config = MlpConfig(depth=args.n, base=args.M, root_seed=args.seed,
-                       replications=args.reps)
-    estimates = replicate(canonical, config, s, x, workers=args.workers)
+    config = MlpConfig(depth=args.n, base=args.M, root_seed=args.seed)
+    estimates = replicate(canonical, config, s, x, args.reps)
     vectors = np.stack([est.as_vector() for est in estimates])
     mean = vectors.mean(axis=0)
     se = vectors.std(axis=0, ddof=1) / math.sqrt(len(estimates)) \
@@ -111,7 +110,7 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     rows = run_convergence(
         case, schedule, replications=args.reps, seed=args.seed,
         t=args.t, x=_parse_point(args.x, to_canonical(case.problem)[0].dimension),
-        include_timing=args.timing, workers=args.workers)
+        include_timing=args.timing)
     write_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     for row in rows:
@@ -202,7 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--n", type=int, required=True, help="depth")
     p_solve.add_argument("--M", type=int, required=True, help="base")
     p_solve.add_argument("--reps", type=int, default=100)
-    p_solve.add_argument("--workers", type=int, default=1)
     p_solve.set_defaults(fn=_cmd_solve)
 
     p_conv = sub.add_parser("converge", help="error table over depths")
@@ -215,7 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--timing", action="store_true",
                         help="record real wall_seconds (breaks byte-identical "
                              "reproducibility)")
-    p_conv.add_argument("--workers", type=int, default=1)
     p_conv.set_defaults(fn=_cmd_converge)
 
     p_verify = sub.add_parser("verify-integrals",
@@ -243,7 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_batt.add_argument("--fast", action="store_true",
                         help="trimmed sample counts")
     p_batt.add_argument("--e", type=float, default=0.5,
-                        help="time CDF exponent for the variance diagnostic")
+                        help="time CDF exponent of the sampler's variance "
+                             "diagnostic; no other check reads it")
     p_batt.set_defaults(fn=_cmd_battery)
     return parser
 

@@ -101,16 +101,14 @@ class MlpConfig:
 
     ``depth`` is the recursion depth n >= 0 (n = 0 is the zero estimate),
     ``base`` the per-level branching factor M >= 1, ``time_cdf_exponent``
-    the e of the time-fraction law P(r <= b) = b**e, ``root_seed`` the
-    stream seed, and ``replications`` the default replication count for
-    statistics.
+    the e of the time-fraction law P(r <= b) = b**e, and ``root_seed`` the
+    stream seed.
     """
 
     depth: int
     base: int
     time_cdf_exponent: float = 0.5
     root_seed: int = 0
-    replications: int = 100
 
 
 @dataclass(frozen=True)
@@ -181,9 +179,6 @@ def check_problem(problem: PdeProblem, config: MlpConfig) -> list[Violation]:
             "time_cdf_exponent", "ExponentOutOfRange",
             f"time CDF exponent must lie strictly in (0, 1), "
             f"got {config.time_cdf_exponent}"))
-    if config.replications < 1:
-        out.append(Violation("replications", "NonpositiveReplications",
-                             f"replications must be >= 1, got {config.replications}"))
     return out
 
 

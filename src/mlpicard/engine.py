@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +36,11 @@ from .bounds import cost_rv
 from .core import (
     Convention,
     FieldEstimate,
+    InvalidProblem,
     MlpConfig,
     PdeProblem,
     ThetaPath,
+    Violation,
     validate_problem,
 )
 from .sampler import DrawLedger, block_uniforms
@@ -208,25 +209,18 @@ def replicate(
     config: MlpConfig,
     t: float,
     x: np.ndarray,
-    workers: int = 1,
+    replications: int = 100,
     budget: int | None = None,
 ) -> list[FieldEstimate]:
-    """``config.replications`` independent estimates, replication k using
-    the stream family rooted at path (k,).
-
-    ``workers > 1`` evaluates replications in a thread pool; results are
-    returned in replication order and are bit-identical to the serial run
-    (each replication's randomness depends only on its own path).
-    """
-    reps = config.replications
-
-    def one(k: int) -> FieldEstimate:
-        return evaluate(problem, config, t, x, theta=(k,), budget=budget)
-
-    if workers <= 1:
-        return [one(k) for k in range(1, reps + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(1, reps + 1)))
+    """``replications`` independent estimates in replication order,
+    replication k using the stream family rooted at path (k,).  Fewer
+    than one replication raises :class:`~mlpicard.core.InvalidProblem`."""
+    if replications < 1:
+        raise InvalidProblem([Violation(
+            "replications", "NonpositiveReplications",
+            f"replications must be >= 1, got {replications}")])
+    return [evaluate(problem, config, t, x, theta=(k,), budget=budget)
+            for k in range(1, replications + 1)]
 
 
 @dataclass(frozen=True)

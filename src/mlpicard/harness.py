@@ -47,7 +47,7 @@ from .integrals import (
     iterated_integral_quadrature,
     iterated_integral_upper_bound,
 )
-from .sampler import StreamKey, derive_stream, single_step_second_moment
+from .sampler import single_step_second_moment, stream_uniforms
 
 __all__ = [
     "BenchmarkCase",
@@ -65,6 +65,11 @@ __all__ = [
     "unbiasedness_gap",
     "verify_integral_identities",
     "CheckResult",
+    "check_sampler_laws",
+    "check_integral_identities",
+    "check_unbiasedness_ladder",
+    "check_cost_ledger",
+    "check_convergence_trend",
     "BatteryReport",
     "run_test_battery",
 ]
@@ -524,7 +529,6 @@ def run_convergence(
     x: np.ndarray | None = None,
     time_cdf_exponent: float = 0.5,
     include_timing: bool = False,
-    workers: int = 1,
     budget: int | None = None,
 ) -> list[ConvergenceRow]:
     """Replicated error table over a schedule of (n, M) pairs.
@@ -548,10 +552,9 @@ def run_convergence(
             base=base,
             time_cdf_exponent=time_cdf_exponent,
             root_seed=seed,
-            replications=replications,
         )
         started = time.perf_counter()
-        estimates = replicate(canonical, config, s, x, workers=workers,
+        estimates = replicate(canonical, config, s, x, replications,
                               budget=budget)
         elapsed = time.perf_counter() - started
         report = rmse(estimates, ref_value, ref_gradient)
@@ -646,8 +649,8 @@ def unbiasedness_gap(
 
     # Left side: engine replications.
     config = MlpConfig(depth=depth, base=base, time_cdf_exponent=e,
-                       root_seed=seed, replications=replications)
-    estimates = replicate(canonical, config, t, x)
+                       root_seed=seed)
+    estimates = replicate(canonical, config, t, x, replications)
     lhs = np.stack([est.as_vector() for est in estimates])
     lhs_mean = lhs.mean(axis=0)
     lhs_se = lhs.std(axis=0, ddof=1) / math.sqrt(len(estimates))
@@ -784,19 +787,30 @@ class BatteryReport:
         return [c.line() for c in self.checks]
 
 
-def _check_sampler_laws(seed: int, fast: bool, e_diag: float) -> CheckResult:
-    n_ks = 20_000 if fast else 100_000
-    n_mom = 100_000 if fast else 1_000_000
+def check_sampler_laws(
+    ks_samples: int,
+    moment_samples: int,
+    ks_path: tuple[int, ...],
+    seed: int = 0,
+    e_diag: float = 0.5,
+) -> CheckResult:
+    """Time-fraction law and one-step variance of the sampler.
+
+    For e in (0.3, 0.5, 0.7) the draws u**(1/e) of the stream at
+    ``ks_path + (idx,)`` must pass a KS test against the CDF b**e at the 1%
+    level.  The empirical second moment of one gradient coordinate of the
+    one-step kernel at (T, d) = (1, 1) and exponent ``e_diag`` must lie
+    strictly within three exact standard errors of T/(e(1-e)); outside the
+    reliable band [0.2, 0.8] the check fails with a heavy-tail flag.
+    """
+    critical = KS_CRITICAL_1PCT / math.sqrt(ks_samples)
     worst_ks = 0.0
-    critical = KS_CRITICAL_1PCT / math.sqrt(n_ks)
     for idx, e in enumerate((0.3, 0.5, 0.7)):
-        stream = derive_stream(StreamKey(seed, (90, idx)))
-        draws = stream.uniforms(n_ks) ** (1.0 / e)
+        draws = stream_uniforms(seed, ks_path + (idx,), ks_samples) ** (1.0 / e)
         stat = kstest(draws, lambda b, _e=e: np.asarray(b) ** _e).statistic
         worst_ks = max(worst_ks, float(stat))
-    ks_ok = worst_ks < critical
 
-    diag = single_step_second_moment(1.0, e_diag, 1, n_samples=n_mom,
+    diag = single_step_second_moment(1.0, e_diag, 1, n_samples=moment_samples,
                                      root_seed=seed)
     if diag.heavy_tail:
         return CheckResult(
@@ -809,46 +823,52 @@ def _check_sampler_laws(seed: int, fast: bool, e_diag: float) -> CheckResult:
     # 2/3 the fourth moment diverges and only a loose band is meaningful.
     if e_diag < 2.0 / 3.0:
         fourth = 3.0 / (e_diag**3 * (2.0 - 3.0 * e_diag))
-        sigma = math.sqrt(fourth - diag.expected_gradient**2) / math.sqrt(n_mom)
+        sigma = math.sqrt(fourth - diag.expected_gradient**2) / math.sqrt(
+            moment_samples)
         width = 3.0 * sigma
     else:
         width = 4.0 * diag.expected_gradient
-    mom_ok = abs(got - diag.expected_gradient) <= width
-    detail = (
-        f"KS max {worst_ks:.5f} (critical {critical:.5f}); "
-        f"second moment {got:.4f} vs {diag.expected_gradient:.4f} "
-        f"+- {width:.4f}")
-    return CheckResult("sampler-laws", ks_ok and mom_ok, detail)
+    gap = abs(got - diag.expected_gradient)
+    return CheckResult(
+        "sampler-laws", worst_ks < critical and gap < width,
+        f"worst KS {worst_ks:.5f} < {critical:.5f}; second moment "
+        f"|{got:.4f} - {diag.expected_gradient:.4f}| = {gap:.5f} < {width:.5f}")
 
 
-def _check_integral_identities() -> CheckResult:
+def check_integral_identities() -> CheckResult:
+    """Closed form vs quadrature within relative 1e-6 on all 27 cells of the
+    standard grid (3 depths x 3 alphas x 3 (beta, gamma) pairs), bounds
+    ordered; see :func:`verify_integral_identities`."""
     rows, ok = verify_integral_identities()
     worst = max(row["rel_gap"] for row in rows)
     return CheckResult(
-        "integral-identities", ok,
-        f"{len(rows)} grid points, worst relative gap {worst:.3e} "
-        f"(gate 1e-06), bounds ordered")
+        "integral-identities", ok and len(rows) == 27,
+        f"{len(rows)} grid cells (27 expected), worst relative gap "
+        f"{worst:.2e} (tol 1e-6), bounds ordered")
 
 
-def _check_unbiasedness_ladder(
-    seed: int, fast: bool, time_cdf_exponent: float
+def check_unbiasedness_ladder(
+    replications: int, sim_samples: int, seed: int = 0
 ) -> CheckResult:
-    reps = 8_000 if fast else 30_000
-    sims = 16_000 if fast else 60_000
+    """:func:`unbiasedness_gap` at depths 1 and 2, every gap within
+    4 sigma (time CDF exponent 0.5)."""
     details = []
     ok = True
     for depth in (1, 2):
-        result = unbiasedness_gap(
-            depth, replications=reps, sim_samples=sims, seed=seed,
-            time_cdf_exponent=0.5)
+        result = unbiasedness_gap(depth, replications=replications,
+                                  sim_samples=sim_samples, seed=seed)
         ok = ok and result["passed"]
         worst = float(np.max(result["gaps"] / result["sigma"]))
-        details.append(f"n={depth} worst gap {worst:.2f} sigma")
+        details.append(f"n={depth} worst |gap|/sigma {worst:.2f}")
     return CheckResult(
-        "unbiasedness-ladder", ok, "; ".join(details) + " (gate 4 sigma)")
+        "unbiasedness-ladder", ok,
+        "; ".join(details) + f" (gate 4.0; {replications} replications vs "
+        f"{sim_samples} direct simulations)")
 
 
-def _check_cost_ledger(seed: int) -> CheckResult:
+def check_cost_ledger(seed: int = 0) -> CheckResult:
+    """Draw ledger == :func:`cost_rv` <= d(5M)^n on the grid
+    grad-dependent-sine x d in {1, 3} x n in {1, 2, 3} x M in {1, 2, 3}."""
     mismatches = 0
     cells = 0
     for d in (1, 3):
@@ -859,47 +879,48 @@ def _check_cost_ledger(seed: int) -> CheckResult:
             for base in (1, 2, 3):
                 config = MlpConfig(depth=n, base=base, root_seed=seed)
                 est = evaluate(canonical, config, 0.0, x)
+                predicted = cost_rv(d, n, base)
+                if est.draws != predicted or \
+                        predicted > cost_bound_closed(d, n, base):
+                    mismatches += 1
                 cells += 1
-                if est.draws != cost_rv(d, n, base):
-                    mismatches += 1
-                if cost_rv(d, n, base) > cost_bound_closed(d, n, base):
-                    mismatches += 1
     return CheckResult(
         "cost-ledger", mismatches == 0,
-        f"{cells} grid cells, {mismatches} mismatches "
-        f"(ledger == recursion, recursion <= d(5M)^n)")
+        f"{cells} (d, n, M) cells, {mismatches} mismatches "
+        f"(ledger == recursion <= d(5M)^n)")
 
 
-def _check_convergence_trend(seed: int, fast: bool) -> CheckResult:
-    # The M = n coupling of depth and base is what makes the error shrink;
-    # at frozen M each added level contributes unaveraged variance and the
-    # error can grow (matching the M^(-n/2) (2C)^n shape of the bound).
-    reps = 60 if fast else 100
-    n_max = 3 if fast else 4
-    dimension = 2
+def check_convergence_trend(
+    case_names: Sequence[str],
+    dimensions: Sequence[int],
+    n_max: int,
+    replications: int,
+    seed: int = 0,
+) -> CheckResult:
+    """Combined error along the M = n schedule at x = (1,...,1)/sqrt(d):
+    every step ratio error(n+1) / error(n) must be at most 1.5.
+
+    The M = n coupling of depth and base is what makes the error shrink;
+    at frozen M each added level contributes unaveraged variance and the
+    error can grow (matching the M^(-n/2) (2C)^n shape of the bound).
+    """
     slack = 1.5
+    schedule = [(n, n) for n in range(1, n_max + 1)]
     details = []
     ok = True
-    x = np.full(dimension, 1.0 / math.sqrt(dimension))
-    for name in BUILTIN_CASES:
-        case = builtin_case(name, dimension=dimension)
-        schedule = [(n, n) for n in range(1, n_max + 1)]
-        rows = run_convergence(case, schedule, replications=reps, seed=seed,
-                               x=x)
-        errors = [row.combined_error for row in rows]
-        case_ok = all(
-            errors[k + 1] <= slack * errors[k] + 1e-15
-            for k in range(len(errors) - 1)
-        )
-        ok = ok and case_ok
-        worst = max(
-            (errors[k + 1] / errors[k]) if errors[k] > 0 else 1.0
-            for k in range(len(errors) - 1)
-        )
-        details.append(f"{name} worst ratio {worst:.3f}")
+    for name in case_names:
+        for d in dimensions:
+            case = builtin_case(name, dimension=d)
+            x = np.full(d, 1.0 / math.sqrt(d))
+            rows = run_convergence(case, schedule, replications=replications,
+                                   seed=seed, x=x)
+            errors = [row.combined_error for row in rows]
+            ratios = [errors[k + 1] / errors[k] if errors[k] > 0 else math.inf
+                      for k in range(len(errors) - 1)]
+            ok = ok and all(r <= slack for r in ratios)
+            details.append(f"{name} d={d} worst ratio {max(ratios):.3f}")
     return CheckResult(
-        "convergence-trend", ok,
-        "; ".join(details) + f" (gate {slack})")
+        "convergence-trend", ok, "; ".join(details) + f" (gate {slack})")
 
 
 def run_test_battery(
@@ -909,16 +930,21 @@ def run_test_battery(
 ) -> BatteryReport:
     """Aggregate statistical and structural checks of the whole stack.
 
-    ``fast`` trims sample counts for quick smoke runs. ``time_cdf_exponent``
-    is a hook for the sampler's variance diagnostic: values outside the
-    reliable band make that check fail with a heavy-tail flag.  Failures
-    are report entries, never exceptions.
+    Runs the same ``check_*`` functions as the acceptance tests, at the
+    battery's own sample sizes; ``fast`` trims them for quick smoke runs.
+    ``time_cdf_exponent`` drives only the sampler's variance diagnostic:
+    values outside the reliable band make that check fail with a
+    heavy-tail flag.  Failures are report entries, never exceptions.
     """
     checks = (
-        _check_sampler_laws(seed, fast, time_cdf_exponent),
-        _check_integral_identities(),
-        _check_unbiasedness_ladder(seed, fast, time_cdf_exponent),
-        _check_cost_ledger(seed),
-        _check_convergence_trend(seed, fast),
+        check_sampler_laws(20_000 if fast else 100_000,
+                           100_000 if fast else 1_000_000,
+                           seed=seed, ks_path=(90,), e_diag=time_cdf_exponent),
+        check_integral_identities(),
+        check_unbiasedness_ladder(8_000 if fast else 30_000,
+                                  16_000 if fast else 60_000, seed=seed),
+        check_cost_ledger(seed),
+        check_convergence_trend(BUILTIN_CASES, (2,), 3 if fast else 4,
+                                60 if fast else 100, seed=seed),
     )
     return BatteryReport(checks=checks)

@@ -4,16 +4,17 @@ Every random quantity consumed by the solver is addressed by a *path*: a
 tuple of integers that encodes its position in the recursive sampling tree
 (see :mod:`mlpicard.engine`).  A stream is a pure function of
 ``(root_seed, path)`` — no global state, no sequential dependence between
-streams — so sibling subtrees can be generated independently, in parallel,
+streams — so any stream can be rebuilt from its key alone, in any order,
 and reproducibly on any platform.
 
 Streams are realized by counter-based hashing: the key material
 ``(root_seed, len(path), *path)`` is fed to the SHAKE-256 extendable-output
-function and the output words are consumed in order.  Uniform variates take
-one 64-bit word each and are mapped to 53-bit-precision doubles in the open
-interval (0, 1); Gaussian variates are produced from one uniform each through
-the inverse normal CDF, so the number of scalar draws consumed is always
-exactly the number of variates requested.
+function; the first ``n`` output words give the stream's first ``n``
+uniforms (:func:`stream_uniforms`, or :func:`block_uniforms` for many
+sibling streams at once).  Each 64-bit word is mapped to a 53-bit-precision
+double in the open interval (0, 1); Gaussian variates are produced from one
+uniform each through the inverse normal CDF, so the number of scalar draws
+consumed is always exactly the number of variates requested.
 
 The time-fraction law used throughout has CDF P(r <= b) = b**e on (0, 1)
 for an exponent e in (0, 1); small e concentrates sampled times near the
@@ -30,10 +31,9 @@ import numpy as np
 from scipy.special import ndtri
 
 __all__ = [
-    "StreamKey",
     "DrawLedger",
-    "Stream",
-    "derive_stream",
+    "stream_uniforms",
+    "block_uniforms",
     "SecondMomentDiagnostic",
     "single_step_second_moment",
 ]
@@ -43,33 +43,15 @@ _U53 = 2.0 ** -53
 _DOMAIN = b"mlpicard.stream.v1"
 
 
-@dataclass(frozen=True)
-class StreamKey:
-    """Address of one stream: a root seed plus a multi-index path."""
-
-    root_seed: int
-    path: tuple[int, ...]
-
-    def child(self, *suffix: int) -> "StreamKey":
-        """Key for the concatenated path ``path + suffix``."""
-        return StreamKey(self.root_seed, self.path + suffix)
-
-
 @dataclass
 class DrawLedger:
-    """Counter of scalar uniform draws, accumulated per task.
-
-    Parallel tasks each carry their own ledger; join points reduce by
-    :meth:`merge`.
-    """
+    """Counter of scalar uniform draws; :func:`~mlpicard.engine.evaluate`
+    threads one through its whole recursion."""
 
     scalar_draws: int = 0
 
     def add(self, n: int) -> None:
         self.scalar_draws += n
-
-    def merge(self, other: "DrawLedger") -> None:
-        self.scalar_draws += other.scalar_draws
 
 
 def _key_bytes(root_seed: int, path: tuple[int, ...]) -> bytes:
@@ -89,45 +71,19 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
 
 
-class Stream:
-    """Sequential view of one path's output words.
+def stream_uniforms(
+    root_seed: int,
+    path: tuple[int, ...],
+    n: int,
+) -> np.ndarray:
+    """First ``n`` uniforms in (0, 1), open at both ends, of the stream at
+    ``path``; a pure function of ``(root_seed, path)``.
 
-    Words are consumed in order; ``k`` variates consume exactly ``k`` words.
-    Re-deriving the stream from its key replays the identical sequence.
+    The single-stream reference that :func:`block_uniforms` batches.
     """
-
-    __slots__ = ("key", "_key_bytes", "_pos")
-
-    def __init__(self, key: StreamKey):
-        self.key = key
-        self._key_bytes = _key_bytes(key.root_seed, key.path)
-        self._pos = 0
-
-    def uniforms(self, n: int, ledger: DrawLedger | None = None) -> np.ndarray:
-        """Next ``n`` uniforms in (0, 1), open at both ends."""
-        if n < 0:
-            raise ValueError("draw count must be nonnegative")
-        words = _raw_words(self._key_bytes, self._pos + n)[self._pos:]
-        self._pos += n
-        if ledger is not None:
-            ledger.add(n)
-        return _to_uniform(words)
-
-    def time_fraction(self, e: float, ledger: DrawLedger | None = None) -> float:
-        """One draw of the time-fraction law P(r <= b) = b**e; costs 1 draw."""
-        if not 0.0 < e < 1.0:
-            raise ValueError(f"time CDF exponent must lie in (0, 1), got {e}")
-        u = self.uniforms(1, ledger)[0]
-        return u ** (1.0 / e)
-
-    def gaussian(self, d: int, ledger: DrawLedger | None = None) -> np.ndarray:
-        """One standard Gaussian vector in R^d; costs d draws."""
-        return ndtri(self.uniforms(d, ledger))
-
-
-def derive_stream(key: StreamKey) -> Stream:
-    """Stream for ``key``; a pure function of (root_seed, path)."""
-    return Stream(key)
+    if n < 0:
+        raise ValueError("draw count must be nonnegative")
+    return _to_uniform(_raw_words(_key_bytes(root_seed, tuple(path)), n))
 
 
 def block_uniforms(
@@ -139,9 +95,9 @@ def block_uniforms(
 ) -> np.ndarray:
     """First ``width`` uniforms of each stream ``base_path + suffix``.
 
-    Row ``j`` equals ``derive_stream(StreamKey(root_seed, base_path +
-    suffixes[j])).uniforms(width)`` — the batched fast path the engine uses
-    for its per-level sample blocks.
+    Row ``j`` equals ``stream_uniforms(root_seed, base_path + suffixes[j],
+    width)`` — the batched fast path the engine uses for its per-level
+    sample blocks.
     """
     m = len(suffixes)
     prefix = _DOMAIN + struct.pack(
@@ -195,8 +151,8 @@ def single_step_second_moment(
         raise ValueError("dimension must be at least 1")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    stream = derive_stream(StreamKey(root_seed, (0,)))
-    u = stream.uniforms(n_samples * (1 + dimension)).reshape(n_samples, 1 + dimension)
+    u = stream_uniforms(root_seed, (0,), n_samples * (1 + dimension))
+    u = u.reshape(n_samples, 1 + dimension)
     r = u[:, 0] ** (1.0 / e)
     z = ndtri(u[:, 1:])
     w = horizon * r ** (1.0 - e) / e

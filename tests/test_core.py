@@ -33,8 +33,7 @@ def make_problem(**overrides):
 
 
 def make_config(**overrides):
-    kwargs = dict(depth=1, base=1, time_cdf_exponent=0.5, root_seed=0,
-                  replications=10)
+    kwargs = dict(depth=1, base=1, time_cdf_exponent=0.5, root_seed=0)
     kwargs.update(overrides)
     return MlpConfig(**kwargs)
 
@@ -87,8 +86,6 @@ def test_negative_lipschitz_flagged():
 def test_config_violations_flagged():
     assert "NegativeDepth" in codes(make_problem(), make_config(depth=-1))
     assert "NonpositiveBase" in codes(make_problem(), make_config(base=0))
-    assert "NonpositiveReplications" in codes(
-        make_problem(), make_config(replications=0))
 
 
 def test_validate_problem_raises_with_violation_list():

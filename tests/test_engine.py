@@ -72,9 +72,9 @@ def test_one_step_mean_matches_gaussian_moments():
     slope = 1.5
     prob = linear_problem(slope=slope, dimension=2)
     t, x = 0.3, np.array([0.4, -1.1])
-    config = MlpConfig(depth=1, base=1, root_seed=3, replications=10_000)
+    config = MlpConfig(depth=1, base=1, root_seed=3)
     vectors = np.stack([est.as_vector()
-                        for est in replicate(prob, config, t, x)])
+                        for est in replicate(prob, config, t, x, 10_000)])
     mean = vectors.mean(axis=0)
     se = vectors.std(axis=0, ddof=1) / math.sqrt(len(vectors))
     target = np.array([slope * x.sum(), slope, slope])
@@ -89,8 +89,8 @@ def test_one_step_rmse_matches_direct_monte_carlo():
     prob = linear_problem(slope=slope)
     t, x = 0.3, np.array([0.4])
     tau = 1.0 - t
-    config = MlpConfig(depth=1, base=1, root_seed=11, replications=10_000)
-    estimates = replicate(prob, config, t, x)
+    config = MlpConfig(depth=1, base=1, root_seed=11)
+    estimates = replicate(prob, config, t, x, 10_000)
     report = rmse(estimates, slope * x[0], np.array([slope]))
 
     rng = np.random.default_rng(2024)
@@ -148,44 +148,40 @@ def test_constant_terminal_data_estimated_exactly():
 def test_replicate_is_deterministic():
     case = builtin_case("grad-dependent-sine", dimension=1)
     canonical, _ = to_canonical(case.problem)
-    config = MlpConfig(depth=2, base=2, root_seed=9, replications=8)
+    config = MlpConfig(depth=2, base=2, root_seed=9)
     x = np.array([0.5])
-    first = replicate(canonical, config, 0.0, x)
-    second = replicate(canonical, config, 0.0, x)
+    first = replicate(canonical, config, 0.0, x, 8)
+    second = replicate(canonical, config, 0.0, x, 8)
     for a, b in zip(first, second):
         assert a.value == b.value
         assert np.array_equal(a.gradient, b.gradient)
         assert a.draws == b.draws
 
 
-def test_parallel_replication_matches_serial():
-    case = builtin_case("grad-dependent-sine", dimension=2)
-    canonical, _ = to_canonical(case.problem)
-    config = MlpConfig(depth=2, base=2, root_seed=4, replications=12)
-    x = np.full(2, 0.3)
-    serial = replicate(canonical, config, 0.0, x, workers=1)
-    parallel = replicate(canonical, config, 0.0, x, workers=4)
-    assert len(serial) == len(parallel) == 12
-    for a, b in zip(serial, parallel):
-        assert a.value == b.value
-        assert np.array_equal(a.gradient, b.gradient)
-        assert a.draws == b.draws
+def test_replicate_rejects_nonpositive_count():
+    for count in (0, -3):
+        with pytest.raises(InvalidProblem) as excinfo:
+            replicate(linear_problem(), MlpConfig(depth=1, base=1), 0.0,
+                      np.array([0.0]), count)
+        assert [v.code for v in excinfo.value.violations] == [
+            "NonpositiveReplications"]
+        assert f"replications must be >= 1, got {count}" in str(excinfo.value)
 
 
 def test_replications_use_distinct_streams():
-    config = MlpConfig(depth=1, base=1, replications=20)
+    config = MlpConfig(depth=1, base=1)
     values = [est.value
               for est in replicate(linear_problem(), config, 0.0,
-                                   np.array([0.0]))]
+                                   np.array([0.0]), 20)]
     assert len(set(values)) == len(values)
 
 
 def test_explicit_theta_matches_replication_index():
     case = builtin_case("grad-free-exponential", dimension=1)
     canonical, _ = to_canonical(case.problem)
-    config = MlpConfig(depth=2, base=2, root_seed=1, replications=3)
+    config = MlpConfig(depth=2, base=2, root_seed=1)
     x = np.array([0.2])
-    batch = replicate(canonical, config, 0.0, x)
+    batch = replicate(canonical, config, 0.0, x, 3)
     for k, est in enumerate(batch, start=1):
         single = evaluate(canonical, config, 0.0, x, theta=(k,))
         assert single.value == est.value
