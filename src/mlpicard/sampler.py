@@ -10,8 +10,8 @@ and reproducibly on any platform.
 Streams are realized by counter-based hashing: the key material
 ``(root_seed, len(path), *path)`` is fed to the SHAKE-256 extendable-output
 function; the first ``n`` output words give the stream's first ``n``
-uniforms (:func:`stream_uniforms`, or :func:`block_uniforms` for many
-sibling streams at once).  Each 64-bit word is mapped to a 53-bit-precision
+uniforms (:func:`stream_uniforms`, or :func:`block_uniforms` for a block
+of many streams at once).  Each 64-bit word is mapped to a 53-bit-precision
 double in the open interval (0, 1); Gaussian variates are produced from one
 uniform each through the inverse normal CDF, so the number of scalar draws
 consumed is always exactly the number of variates requested.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -88,30 +89,44 @@ def stream_uniforms(
 
 def block_uniforms(
     root_seed: int,
-    base_path: tuple[int, ...],
-    suffixes: list[tuple[int, int]],
+    base_path: tuple[int, ...] | np.ndarray,
+    suffixes: Sequence[tuple[int, int]] | np.ndarray,
     width: int,
     ledger: DrawLedger | None = None,
 ) -> np.ndarray:
     """First ``width`` uniforms of each stream ``base_path + suffix``.
 
-    Row ``j`` equals ``stream_uniforms(root_seed, base_path + suffixes[j],
-    width)`` — the batched fast path the engine uses for its per-level
-    sample blocks.
+    ``suffixes`` holds R pairs ``(a, b)``.  ``base_path`` is either one path
+    shared by every row or an ``(R, L)`` int64 array giving row ``j`` its
+    own base path.  Row ``j`` equals ``stream_uniforms(root_seed, base_j +
+    suffixes[j], width)``.  The keys of all R rows are laid out in one uint8
+    array and hashed row by row from a memoryview of it.
+
+    The engine makes one call per block of a whole node group (see
+    :mod:`mlpicard.engine`): row ``k*m + i - 1`` is sample i of node k, at
+    path ``paths[k] + (a, +-i)``.  Such a call has at most M**n rows for a
+    depth-n estimate, so its key array and its ``(R, width)`` result stay
+    O(M**n (1+d)) in size.
     """
-    m = len(suffixes)
-    prefix = _DOMAIN + struct.pack(
-        "<qQ%dq" % len(base_path), root_seed, len(base_path) + 2, *base_path
-    )
-    words = np.empty((m, width), dtype=np.uint64)
+    tail = np.asarray(suffixes, dtype=np.int64).reshape(-1, 2)
+    base = np.asarray(base_path, dtype=np.int64)
+    rows, length = len(tail), base.shape[-1] + 2
+    paths = np.empty((rows, length), dtype="<i8")
+    paths[:, :-2] = base
+    paths[:, -2:] = tail
+    prefix = _DOMAIN + struct.pack("<qQ", root_seed, length)
+    keys = np.empty((rows, len(prefix) + 8 * length), dtype=np.uint8)
+    keys[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    keys[:, len(prefix):] = paths.view(np.uint8)
+    flat = memoryview(keys.reshape(-1))
+    step = keys.shape[1]
     nbytes = 8 * width
-    pack = struct.Struct("<qq").pack
     shake = hashlib.shake_256
-    for j, (a, b) in enumerate(suffixes):
-        words[j] = np.frombuffer(shake(prefix + pack(a, b)).digest(nbytes), dtype="<u8")
+    digests = b"".join([shake(flat[j:j + step]).digest(nbytes)
+                        for j in range(0, rows * step, step)])
     if ledger is not None:
-        ledger.add(m * width)
-    return _to_uniform(words)
+        ledger.add(rows * width)
+    return _to_uniform(np.frombuffer(digests, dtype="<u8").reshape(rows, width))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,5 @@
 """Problem/config validation, convention adapter, and Lipschitz audit."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -1,11 +1,17 @@
 """Estimator evaluation: moments, draw accounting, determinism, guards."""
 
+import hashlib
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mlpicard import (
+    BUILTIN_CASES,
+    CallbackContractError,
     DepthCostGuard,
     EmptySample,
     FieldEstimate,
@@ -143,6 +149,77 @@ def test_constant_terminal_data_estimated_exactly():
     est = evaluate(prob, MlpConfig(depth=3, base=2), 0.0, np.array([1.0]))
     assert est.value == 4.25
     assert np.array_equal(est.gradient, [0.0])
+
+
+def test_evaluate_known_answers():
+    # Estimates of the node-by-node recursive engine that the group-batched
+    # engine replaced, stored as (value.hex(), sha256 of gradient bytes,
+    # draws).  Batching must not change a single bit; a change here changes
+    # every estimate the package produces.
+    known = json.loads(
+        (Path(__file__).parent / "engine_known_answers.json").read_text())
+
+    def answer(est):
+        return [est.value.hex(),
+                hashlib.sha256(est.gradient.tobytes()).hexdigest(),
+                est.draws]
+
+    for name in BUILTIN_CASES:
+        for d in (1, 3):
+            canonical, _ = to_canonical(
+                builtin_case(name, dimension=d).problem)
+            x = np.linspace(-0.4, 0.6, d)
+            for n, base in ((0, 2), (1, 1), (2, 2), (3, 2), (2, 3)):
+                for seed in (0, 7):
+                    config = MlpConfig(depth=n, base=base, root_seed=seed)
+                    est = evaluate(canonical, config, 0.25, x)
+                    assert answer(est) == known[
+                        f"{name} {d} {n} {base} {seed}"], (name, d, n, base,
+                                                           seed)
+    canonical, _ = to_canonical(
+        builtin_case("grad-dependent-sine", dimension=3).problem)
+    est = evaluate(canonical, MlpConfig(depth=3, base=2, root_seed=7), 0.25,
+                   np.linspace(-0.4, 0.6, 3), theta=(9, -4, 2))
+    assert answer(est) == known["theta"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_small_time_exponent_gives_finite_estimates():
+    # At e = 0.01, r = u**(1/e) underflows to 0 for some level samples, so
+    # root = sqrt(tau r) = 0 and w / root would be 0/0; the gradient weight
+    # takes its limit 0 there instead (replication 136 hits this).
+    case = builtin_case("grad-dependent-sine", dimension=2)
+    canonical, _ = to_canonical(case.problem)
+    config = MlpConfig(depth=2, base=2, root_seed=0, time_cdf_exponent=0.01)
+    for est in replicate(canonical, config, 0.0, np.zeros(2), 300):
+        assert math.isfinite(est.value)
+        assert np.all(np.isfinite(est.gradient))
+
+
+def test_misshapen_callback_output_rejected():
+    # An f returning (m, 1) would broadcast the (m,) time weight to (m, m).
+    prob = replace(linear_problem(),
+                   nonlinearity=lambda t, x, y, z: np.zeros((len(t), 1)))
+    with pytest.raises(CallbackContractError) as excinfo:
+        evaluate(prob, MlpConfig(depth=1, base=3), 0.0, np.array([0.5]),
+                 theta=(4,))
+    message = str(excinfo.value)
+    assert message.startswith("f returned shape (3, 1), expected (3,)")
+    assert "stream path (4, 0, 1)" in message
+
+
+def test_non_finite_callback_output_names_stream_path():
+    # g is finite at the query point only, so the first offending row is
+    # the first terminal sample of the root, at path theta + (0, -1).
+    x0 = np.array([0.5, -0.5])
+    prob = replace(linear_problem(dimension=2),
+                   terminal_data=lambda x: np.where(np.all(x == x0, axis=1),
+                                                    1.0, np.nan))
+    with pytest.raises(CallbackContractError) as excinfo:
+        evaluate(prob, MlpConfig(depth=2, base=2), 0.0, x0, theta=(3, 1))
+    message = str(excinfo.value)
+    assert message.startswith("g returned non-finite value nan")
+    assert "stream path (3, 1, 0, -1)" in message
 
 
 def test_replicate_is_deterministic():

@@ -124,16 +124,31 @@ def test_stream_v1_known_answers():
 @settings(max_examples=50, deadline=None)
 @given(seed=INT64, base=PATHS,
        suffixes=st.lists(st.tuples(INT64, INT64), min_size=1, max_size=5),
-       width=st.integers(0, 9))
+       width=st.integers(0, 9),
+       rows=st.lists(st.lists(INT64, min_size=4, max_size=4), min_size=5,
+                     max_size=5))
 @example(seed=123, base=(9, -4),
-         suffixes=[(0, -1), (0, -2), (1, 3), (-2, 1)], width=5)
+         suffixes=[(0, -1), (0, -2), (1, 3), (-2, 1)], width=5,
+         rows=[[9, -4, 0, 0], [9, -4, 1, 3], [7, 2, 0, 0], [0, 0, 0, 0],
+               [1, 1, 1, 1]])
 def test_block_uniforms_rows_match_per_stream_draws(seed, base, suffixes,
-                                                    width):
+                                                    width, rows):
     block = block_uniforms(seed, base, suffixes, width)
     assert block.shape == (len(suffixes), width)
     for j, suffix in enumerate(suffixes):
         assert np.array_equal(block[j],
                               stream_uniforms(seed, base + suffix, width))
+    # Per-row form: an (R, L) array gives row j its own base path; equal
+    # rows reproduce the shared-path form.
+    shared = np.array([base] * len(suffixes), dtype=np.int64).reshape(
+        len(suffixes), len(base))
+    assert np.array_equal(block_uniforms(seed, shared, suffixes, width), block)
+    own = np.array(rows, dtype=np.int64)[:len(suffixes), :len(base)]
+    block = block_uniforms(seed, own, suffixes, width)
+    assert block.shape == (len(suffixes), width)
+    for j, suffix in enumerate(suffixes):
+        path = tuple(own[j].tolist()) + suffix
+        assert np.array_equal(block[j], stream_uniforms(seed, path, width))
 
 
 def test_block_uniforms_ledger_counts_all_cells():
