@@ -5,16 +5,30 @@ tuple of integers that encodes its position in the recursive sampling tree
 (see :mod:`mlpicard.engine`).  A stream is a pure function of
 ``(root_seed, path)`` — no global state, no sequential dependence between
 streams — so any stream can be rebuilt from its key alone, in any order,
-and reproducibly on any platform.
+and reproducibly on any platform: every step below is fixed-width 64-bit
+integer arithmetic, which wraps identically everywhere.
 
-Streams are realized by counter-based hashing: the key material
-``(root_seed, len(path), *path)`` is fed to the SHAKE-256 extendable-output
-function; the first ``n`` output words give the stream's first ``n``
-uniforms (:func:`stream_uniforms`, or :func:`block_uniforms` for a block
-of many streams at once).  Each 64-bit word is mapped to a 53-bit-precision
-double in the open interval (0, 1); Gaussian variates are produced from one
-uniform each through the inverse normal CDF, so the number of scalar draws
-consumed is always exactly the number of variates requested.
+Streams are counter-based (domain ``mlpicard.stream.v2``).  A path
+``p = (p_0, .., p_{L-1})`` and the seed collapse into one 64-bit key
+
+    key = mix64(sum_j (p_j XOR s_j) * a_j + root_seed * a_seed  mod 2**64),
+
+and word i = 1, 2, .. of the stream is ``mix64(key + i * gamma)`` with
+``gamma = 0x9E3779B97F4A7C15``: a SplitMix64 stream seeded at ``key``
+(Steele, Lea & Flood, OOPSLA'14), ``mix64`` being its bijective
+finalizer.  The salts ``s_j`` and the odd multipliers ``a_j`` and
+``a_seed`` come from one SHAKE-256 digest per path *length*, not one per
+stream, so a whole block of streams costs a fixed number of numpy passes
+(:func:`block_uniforms`; :func:`stream_uniforms` is its one-row case).
+Because every ``a_j`` is odd, two paths of one length that differ in a
+single position have different keys.  The generator is statistical, not
+cryptographic: it is built to pass the sampler's distribution tests, not
+to resist an adversary.
+
+Each 64-bit word is mapped to a 53-bit-precision double in the open
+interval (0, 1); Gaussian variates are produced from one uniform each
+through the inverse normal CDF, so the number of scalar draws consumed is
+always exactly the number of variates requested.
 
 The time-fraction law used throughout has CDF P(r <= b) = b**e on (0, 1)
 for an exponent e in (0, 1); small e concentrates sampled times near the
@@ -26,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -39,9 +54,16 @@ __all__ = [
     "single_step_second_moment",
 ]
 
+# 0-d arrays, not numpy scalars: numpy dispatches them faster, which counts
+# on small blocks (mix64 on 2 to 42 words takes 20-35% less time).
 # (word >> 11) has 53 uniform bits; +0.5 then *2**-53 lands strictly inside (0,1).
-_U53 = 2.0 ** -53
-_DOMAIN = b"mlpicard.stream.v1"
+_HALF, _U53 = np.array(0.5), np.array(2.0 ** -53)
+_DOMAIN = b"mlpicard.stream.v2"
+_MASK = (1 << 64) - 1
+_GAMMA, _MIX1, _MIX2, _S11, _S27, _S30, _S31 = (
+    np.array(c, dtype=np.uint64) for c in (
+        0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
+        11, 27, 30, 31))
 
 
 @dataclass
@@ -55,21 +77,50 @@ class DrawLedger:
         self.scalar_draws += n
 
 
-def _key_bytes(root_seed: int, path: tuple[int, ...]) -> bytes:
-    # Length is part of the key so that e.g. (1,) and (1, 0) cannot collide
-    # through concatenation ambiguity.
-    return _DOMAIN + struct.pack(
-        "<qQ%dq" % len(path), root_seed, len(path), *path
-    )
+@lru_cache(maxsize=32)
+def _length_constants(length: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Salts ``s_j``, odd multipliers ``a_j`` (read-only arrays) and the odd
+    seed multiplier ``a_seed`` for paths of ``length`` entries."""
+    words = np.frombuffer(
+        hashlib.shake_256(_DOMAIN + struct.pack("<Q", length)).digest(
+            8 * (2 * length + 1)), dtype="<u8").astype(np.uint64)
+    words[length:] |= np.uint64(1)
+    words.flags.writeable = False
+    return words[:length], words[length:-1], int(words[-1])
 
 
-def _raw_words(key_bytes: bytes, n: int) -> np.ndarray:
-    """First ``n`` 64-bit output words of the stream."""
-    return np.frombuffer(hashlib.shake_256(key_bytes).digest(8 * n), dtype="<u8")
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, a bijection of uint64, applied in place."""
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
+
+
+def _words(root_seed: int, paths: np.ndarray, width: int) -> np.ndarray:
+    """First ``width`` 64-bit words of the stream of each row of ``paths``,
+    an ``(R, L)`` int64 array that this call overwrites."""
+    paths = paths.view(np.uint64)
+    salts, mults, seed_mult = _length_constants(paths.shape[1])
+    paths ^= salts
+    paths *= mults
+    # Python-int arithmetic: a numpy-scalar overflow would warn on every call.
+    # np.int64 rejects a seed outside int64, as asarray does a path entry.
+    seed_term = np.uint64((int(np.int64(root_seed)) * seed_mult) & _MASK)
+    key = _mix64(np.add.reduce(paths, axis=1, initial=seed_term))
+    steps = np.arange(1, width + 1, dtype=np.uint64)
+    steps *= _GAMMA
+    return _mix64(np.add.outer(key, steps))
 
 
 def _to_uniform(words: np.ndarray) -> np.ndarray:
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
+    """``((word >> 11) + 0.5) * 2**-53``; overwrites ``words``."""
+    words >>= _S11
+    u = words + _HALF
+    u *= _U53
+    return u
 
 
 def stream_uniforms(
@@ -80,11 +131,14 @@ def stream_uniforms(
     """First ``n`` uniforms in (0, 1), open at both ends, of the stream at
     ``path``; a pure function of ``(root_seed, path)``.
 
-    The single-stream reference that :func:`block_uniforms` batches.
+    The one-row case of :func:`block_uniforms`: word i is
+    ``mix64(key + i * gamma)`` for the path's key (see the module
+    docstring).
     """
     if n < 0:
         raise ValueError("draw count must be nonnegative")
-    return _to_uniform(_raw_words(_key_bytes(root_seed, tuple(path)), n))
+    paths = np.array(tuple(path), dtype=np.int64).reshape(1, -1)
+    return _to_uniform(_words(root_seed, paths, n))[0]
 
 
 def block_uniforms(
@@ -99,34 +153,25 @@ def block_uniforms(
     ``suffixes`` holds R pairs ``(a, b)``.  ``base_path`` is either one path
     shared by every row or an ``(R, L)`` int64 array giving row ``j`` its
     own base path.  Row ``j`` equals ``stream_uniforms(root_seed, base_j +
-    suffixes[j], width)``.  The keys of all R rows are laid out in one uint8
-    array and hashed row by row from a memoryview of it.
+    suffixes[j], width)``.  The R full paths form one ``(R, L + 2)`` array;
+    its keys and then its ``(R, width)`` words are each computed in a fixed
+    number of whole-array numpy passes, whatever R, L and ``width`` are.
 
     The engine makes one call per block of a whole node group (see
     :mod:`mlpicard.engine`): row ``k*m + i - 1`` is sample i of node k, at
     path ``paths[k] + (a, +-i)``.  Such a call has at most M**n rows for a
-    depth-n estimate, so its key array and its ``(R, width)`` result stay
+    depth-n estimate, so its path array and its ``(R, width)`` result stay
     O(M**n (1+d)) in size.
     """
     tail = np.asarray(suffixes, dtype=np.int64).reshape(-1, 2)
     base = np.asarray(base_path, dtype=np.int64)
     rows, length = len(tail), base.shape[-1] + 2
-    paths = np.empty((rows, length), dtype="<i8")
+    paths = np.empty((rows, length), dtype=np.int64)
     paths[:, :-2] = base
     paths[:, -2:] = tail
-    prefix = _DOMAIN + struct.pack("<qQ", root_seed, length)
-    keys = np.empty((rows, len(prefix) + 8 * length), dtype=np.uint8)
-    keys[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
-    keys[:, len(prefix):] = paths.view(np.uint8)
-    flat = memoryview(keys.reshape(-1))
-    step = keys.shape[1]
-    nbytes = 8 * width
-    shake = hashlib.shake_256
-    digests = b"".join([shake(flat[j:j + step]).digest(nbytes)
-                        for j in range(0, rows * step, step)])
     if ledger is not None:
         ledger.add(rows * width)
-    return _to_uniform(np.frombuffer(digests, dtype="<u8").reshape(rows, width))
+    return _to_uniform(_words(root_seed, paths, width))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlpicard import (
     BUILTIN_CASES,
@@ -120,6 +122,25 @@ def test_draw_ledger_matches_cost_recursion_on_grid():
                 est = evaluate(canonical, MlpConfig(depth=n, base=base),
                                0.0, x)
                 assert est.draws == cost_rv(d, n, base), (d, n, base)
+
+
+@lru_cache(maxsize=None)
+def _sine_problem(d):
+    return to_canonical(builtin_case("grad-dependent-sine",
+                                     dimension=d).problem)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 4), n=st.integers(0, 3), base=st.integers(1, 3),
+       seed=st.integers(-2**63, 2**63 - 1),
+       theta=st.lists(st.integers(-2**63, 2**63 - 1), max_size=3).map(tuple))
+def test_ledger_matches_cost_and_estimate_is_finite(d, n, base, seed, theta):
+    est = evaluate(_sine_problem(d), MlpConfig(depth=n, base=base,
+                                               root_seed=seed),
+                   0.25, np.linspace(-0.4, 0.6, d), theta=theta)
+    assert est.draws == cost_rv(d, n, base)
+    assert math.isfinite(est.value)
+    assert np.all(np.isfinite(est.gradient))
 
 
 def test_depth_invariance_when_nonlinearity_vanishes():

@@ -12,6 +12,7 @@ from mlpicard import (
     single_step_second_moment,
     stream_uniforms,
 )
+from mlpicard import sampler
 from mlpicard.sampler import block_uniforms
 
 INT64 = st.integers(-2**63, 2**63 - 1)
@@ -100,25 +101,61 @@ def test_negative_draw_count_rejected():
         stream_uniforms(0, (1,), -1)
 
 
-def test_stream_v1_known_answers():
-    # Values of the mlpicard.stream.v1 domain: SHAKE-256 output words and
-    # the word-to-double map are fully specified, so these hold on every
-    # platform.  A change here changes every estimate the package produces.
+def test_stream_v2_known_answers():
+    # Values of the mlpicard.stream.v2 domain: the SHAKE-256 constants, the
+    # 64-bit key and word arithmetic and the word-to-double map are fully
+    # specified, so these hold on every platform.  A change here changes
+    # every estimate the package produces.
     def hexes(u):
         return [float(v).hex() for v in np.ravel(u)]
 
     assert hexes(stream_uniforms(0, (0,), 3)) == [
-        "0x1.d081f24ff9168p-5", "0x1.14ecbc74db996p-1",
-        "0x1.62f1e62eb49f2p-1"]
+        "0x1.d83ccfe155cd0p-6", "0x1.8d5c397286954p-1",
+        "0x1.fe6d113d207eap-1"]
     assert hexes(stream_uniforms(42, (3, 1, -2), 2)) == [
-        "0x1.ef06915e69ba8p-5", "0x1.33865db314020p-7"]
+        "0x1.9706e2767c629p-2", "0x1.2bf5f6ff130b6p-1"]
     assert hexes(stream_uniforms(-5, (), 2)) == [
-        "0x1.9985890d6be07p-2", "0x1.37ec58a9d8f50p-6"]
+        "0x1.523c0c0b9541ap-1", "0x1.1fc960a90f14ep-3"]
     block = block_uniforms(123, (9, -4), [(0, -1), (2, 3), (-2, 3)], 2)
     assert hexes(block) == [
-        "0x1.13ec61a08de06p-1", "0x1.e314adfdf0be4p-4",
-        "0x1.13029db1d48aap-1", "0x1.4989c2190fdb6p-1",
-        "0x1.4baf4b3ef6553p-2", "0x1.d355ac8771cbfp-2"]
+        "0x1.6a03771c7c1f7p-2", "0x1.1160887cf88bep-3",
+        "0x1.b5a8de8d06c42p-1", "0x1.89e4b323b4ba4p-4",
+        "0x1.9516b88dfb272p-1", "0x1.04927e6982d49p-2"]
+
+
+def _level_branch_block(width):
+    # Paths (c, +-l, i) for c in 0..3, l in 1..5, i in 1..5**5: the streams
+    # one level block of an M = 5 tree and its telescoped partner consume,
+    # under four base paths.  Rows differ from their neighbours in one or
+    # two positions, the weak spot of a linear key combine.  Axes: (c, sign,
+    # l, i).
+    c, sign, level, i = np.meshgrid(np.arange(4), np.array([1, -1]),
+                                    np.arange(1, 6), np.arange(1, 5**5 + 1),
+                                    indexing="ij")
+    paths = np.stack([c, sign * level, i], axis=-1).reshape(-1, 3)
+    words = sampler._words(2024, paths.astype(np.int64), width)
+    return words.reshape(c.shape + (width,))
+
+
+def test_generator_first_words_distinct_and_bits_balanced():
+    words = _level_branch_block(8)
+    first = words[..., 0].ravel()
+    assert first.size == 125_000
+    assert np.unique(first).size == first.size
+    used = (words >> np.uint64(11)).ravel()
+    n = used.size
+    assert n >= 10**6
+    for bit in range(53):
+        ones = int(np.count_nonzero(used & np.uint64(1 << bit)))
+        assert abs(ones - n / 2) < 5.0 * math.sqrt(n) / 2, bit
+
+
+def test_generator_neighbouring_paths_uncorrelated():
+    u = sampler._to_uniform(_level_branch_block(8))
+    for a, b in ((u[:, 0], u[:, 1]),                # (l, i) vs (-l, i)
+                 (u[..., :-1, :], u[..., 1:, :])):  # (l, i) vs (l, i+1)
+        corr = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+        assert abs(corr) < 5.0 / math.sqrt(a.size)
 
 
 @settings(max_examples=50, deadline=None)
