@@ -76,7 +76,10 @@ class PdeProblem:
         g, the data at t = T (backward) or t = 0 (forward); batched callable.
     nonlinearity:
         f(t, x, y, z); batched callable, arguments in this problem's
-        convention.
+        convention.  For an estimate of at least
+        ``engine.FANOUT_MIN_DRAWS`` draws, g and f may be called at the
+        same time from several threads, on disjoint rows: pure array
+        functions are safe, callbacks that change shared state are not.
     lipschitz_solution:
         (d+1)-vector of Lipschitz constants of f in (y, z_1, ..., z_d).
     lipschitz_space:

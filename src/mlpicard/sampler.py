@@ -26,9 +26,10 @@ cryptographic: it is built to pass the sampler's distribution tests, not
 to resist an adversary.
 
 Each 64-bit word is mapped to a 53-bit-precision double in the open
-interval (0, 1); Gaussian variates are produced from one uniform each
-through the inverse normal CDF, so the number of scalar draws consumed is
-always exactly the number of variates requested.
+interval (0, 1), the top word being clamped to 1 - 2**-53 so that its
+normal quantile stays finite; Gaussian variates are produced from one
+uniform each through the inverse normal CDF, so the number of scalar draws
+consumed is always exactly the number of variates requested.
 
 The time-fraction law used throughout has CDF P(r <= b) = b**e on (0, 1)
 for an exponent e in (0, 1); small e concentrates sampled times near the
@@ -56,8 +57,12 @@ __all__ = [
 
 # 0-d arrays, not numpy scalars: numpy dispatches them faster, which counts
 # on small blocks (mix64 on 2 to 42 words takes 20-35% less time).
-# (word >> 11) has 53 uniform bits; +0.5 then *2**-53 lands strictly inside (0,1).
+# (word >> 11) has 53 uniform bits; +0.5 then *2**-53 lands in (0, 1), except
+# that the top value 2**53 - 1 + 0.5 rounds to 2**53 and so to 1.0, where
+# ndtri is inf: it is clamped to _BELOW_ONE = 1 - 2**-53, the largest double
+# below 1, which no other word reaches.
 _HALF, _U53 = np.array(0.5), np.array(2.0 ** -53)
+_BELOW_ONE = np.array(1.0 - 2.0 ** -53)
 _DOMAIN = b"mlpicard.stream.v2"
 _MASK = (1 << 64) - 1
 _GAMMA, _MIX1, _MIX2, _S11, _S27, _S30, _S31 = (
@@ -116,10 +121,12 @@ def _words(root_seed: int, paths: np.ndarray, width: int) -> np.ndarray:
 
 
 def _to_uniform(words: np.ndarray) -> np.ndarray:
-    """``((word >> 11) + 0.5) * 2**-53``; overwrites ``words``."""
+    """``min(((word >> 11) + 0.5) * 2**-53, 1 - 2**-53)``; overwrites
+    ``words``."""
     words >>= _S11
     u = words + _HALF
     u *= _U53
+    np.minimum(u, _BELOW_ONE, out=u)
     return u
 
 

@@ -1,0 +1,169 @@
+"""The root fan-out: estimates spread over threads keep every bit and every
+error of the one-thread walk."""
+
+import hashlib
+import re
+import sys
+import threading
+from dataclasses import replace
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from scipy.special import ndtri
+
+from mlpicard import (
+    CallbackContractError,
+    MlpConfig,
+    builtin_case,
+    cost_rv,
+    evaluate,
+    stream_uniforms,
+    to_canonical,
+)
+from mlpicard import engine
+
+# (value.hex(), sha256 of gradient bytes, draws) of grad-dependent-sine at
+# n = M = 5, t = 0.25, x = linspace(-0.4, 0.6, d), recorded with the
+# one-thread engine before the fan-out existed.
+KNOWN = {
+    (3, 0): ["-0x1.7e00fabf0df69p-3",
+             "9c41f10b6bd7473843d87490817bdc1db4a53e47e9f2fbeac7c517e467a49b16",
+             427695],
+    (3, 7): ["0x1.6046f813b3103p-5",
+             "f4855add7bc108f9d32a21e61aaa873ead8c31a4c247d85edc8a2335af6ae336",
+             427695],
+    (10, 0): ["0x1.da67a096c6bdbp-2",
+              "e62883366764bb84838276306ac7ba48a2be52e550ed383807076b3cee738b23",
+              1277005],
+    (10, 7): ["-0x1.598c7812b0e90p-3",
+              "12837c00b048b254e8866c7b1877c6553426de76407c4688426267a021c6be22",
+              1277005],
+}
+
+
+@lru_cache(maxsize=None)
+def _sine(d):
+    return to_canonical(builtin_case("grad-dependent-sine",
+                                     dimension=d).problem)[0]
+
+
+def _recording(problem, seen):
+    """``problem`` with g and f recording (thread id, errstate['over'])."""
+    g, f = problem.terminal_data, problem.nonlinearity
+
+    def g_rec(x):
+        seen.add((threading.get_ident(), np.geterr()["over"]))
+        return g(x)
+
+    def f_rec(t, x, y, z):
+        seen.add((threading.get_ident(), np.geterr()["over"]))
+        return f(t, x, y, z)
+
+    return replace(problem, terminal_data=g_rec, nonlinearity=f_rec)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fanout_reproduces_one_thread_bits(monkeypatch, workers):
+    monkeypatch.setattr(engine, "_workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    # More threads than the machine may have cores, and frequent switches
+    # between them, for the three-worker run.
+    if workers == 3:
+        sys.setswitchinterval(1e-5)
+    try:
+        for (d, seed), known in KNOWN.items():
+            assert cost_rv(d, 5, 5) >= engine.FANOUT_MIN_DRAWS
+            seen = set()
+            with np.errstate(over="raise"):
+                est = evaluate(_recording(_sine(d), seen),
+                               MlpConfig(depth=5, base=5, root_seed=seed),
+                               0.25, np.linspace(-0.4, 0.6, d))
+            assert [est.value.hex(),
+                    hashlib.sha256(est.gradient.tobytes()).hexdigest(),
+                    est.draws] == known, (d, seed)
+            assert est.draws == cost_rv(d, 5, 5)
+            # Callbacks ran on `workers` threads, under the caller's errstate.
+            assert len({ident for ident, _ in seen}) == workers
+            assert {over for _, over in seen} == {"raise"}
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _replay(seed, theta, t, x, horizon, e, pairs):
+    """(t, x) of the row reached from the root (t, x) through the suffix
+    ``pairs`` of a stream path, rebuilt from ``stream_uniforms`` with the
+    engine's arithmetic: each pair (a, i) moves to sample i of the parent's
+    level-|a| block, drawn at ``parent path + (|a|, i)``."""
+    t, x, path = np.array([t]), x[None, :], tuple(theta)
+    for a, i in pairs:
+        u = stream_uniforms(seed, path + (abs(a), i), 1 + x.shape[1])[None]
+        tau = (horizon - t)[:, None]
+        r = u[:, :1] ** (1.0 / e)
+        root = np.sqrt(tau * r)
+        t = (t[:, None] + tau * r).reshape(-1)
+        x = x + root * ndtri(u[:, 1:])
+        path += (a, i)
+    return t[0], x[0]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_fanout_error_names_the_one_thread_row(monkeypatch, workers):
+    # f fails at one deep row: sample 2 of the level-1 block of the node
+    # reached by (4, 3) then (2, 1), inside the largest child group, which
+    # three workers split (nodes 0-1 and 2-4).  The error under fan-out is
+    # the one-thread error, and its stream path replays the row.
+    d, seed, theta = 3, 5, (0,)
+    problem, config = _sine(d), MlpConfig(depth=5, base=5, root_seed=seed)
+    x0 = np.linspace(-0.4, 0.6, d)
+    pairs = ((4, 3), (2, 1), (1, 2))
+    s_bad, x_bad = _replay(seed, theta, 0.25, x0, problem.horizon,
+                           config.time_cdf_exponent, pairs)
+    f = problem.nonlinearity
+
+    def faulty(t, x, y, z):
+        hit = (t == s_bad) & np.all(x == x_bad, axis=1)
+        return np.where(hit, np.nan, f(t, x, y, z))
+
+    problem = replace(problem, nonlinearity=faulty)
+    messages = []
+    for count in (1, workers):
+        monkeypatch.setattr(engine, "_workers", lambda: count)
+        with pytest.raises(CallbackContractError) as excinfo:
+            evaluate(problem, config, 0.25, x0, theta=theta)
+        messages.append(str(excinfo.value))
+    assert messages[1] == messages[0]
+    named = re.search(r"stream path \(([-\d, ]+)\)", messages[0]).group(1)
+    path = tuple(int(v) for v in named.split(","))
+    assert path == theta + sum(pairs, ())
+    assert messages[0].startswith("f returned non-finite value nan")
+
+
+def test_plan_cuts_nodes_into_balanced_jobs():
+    # The root's children at d = 10, n = M = 5.  The root's own blocks are
+    # 5.8% of its draws and fall to the calling thread, so with two workers
+    # job 0 stops two nodes into the (3, lo) group (index 7), which makes
+    # both shares 50% +- 0.5%, and job 1 takes the (4, hi) group (index 6,
+    # 47.7%) and the rest of (3, lo).
+    total = cost_rv(10, 5, 5)
+    groups = []
+    for level in range(1, 5):
+        count = 5 ** (5 - level)
+        groups += [(level, np.zeros((count, 3)), None, None),
+                   (level - 1, np.zeros((count, 3)), None, None)]
+    whole = [(i, 0, len(group[1])) for i, group in enumerate(groups)]
+    assert engine._plan(groups, 10, 5, total, 1) == [whole]
+    jobs = engine._plan(groups, 10, 5, total, 2)
+    assert jobs == [whole[:6] + [(7, 0, 2)], [(6, 0, 5), (7, 2, 5)]]
+    for workers in (2, 3, 4, 7, 50):
+        jobs = engine._plan(groups, 10, 5, total, workers)
+        assert 1 < len(jobs) <= workers
+        assert all(job == sorted(job) for job in jobs)
+        # Every node in exactly one piece; at most workers - 1 groups split.
+        covered = {}
+        for i, a, b in sorted(piece for job in jobs for piece in job):
+            assert a == covered.get(i, 0) < b
+            covered[i] = b
+        assert covered == {i: b for i, _, b in whole}
+        pieces = [i for job in jobs for i, _, _ in job]
+        assert len(pieces) - len(groups) <= workers - 1

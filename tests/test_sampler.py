@@ -188,6 +188,21 @@ def test_block_uniforms_rows_match_per_stream_draws(seed, base, suffixes,
         assert np.array_equal(block[j], stream_uniforms(seed, path, width))
 
 
+def test_top_word_maps_below_one():
+    # ((2**53 - 1) + 0.5) * 2**-53 rounds to exactly 1.0, where ndtri is
+    # inf; the map clamps it to the largest double below 1.  The next word
+    # down keeps its unclamped value, as do all the others.
+    below_one = 1.0 - 2.0 ** -53
+    top = (2**53 - 1) << 11
+    words = np.array([top, top | (2**11 - 1), (2**53 - 2) << 11, 0],
+                     dtype=np.uint64)
+    u = sampler._to_uniform(words)
+    assert [float(v).hex() for v in u] == [
+        below_one.hex(), below_one.hex(), (1.0 - 2.0 ** -52).hex(),
+        (2.0 ** -54).hex()]
+    assert np.all(np.isfinite(ndtri(u)))
+
+
 def test_block_uniforms_ledger_counts_all_cells():
     ledger = DrawLedger()
     block_uniforms(0, (1,), [(0, -1), (0, -2), (0, -3)], width=4,
