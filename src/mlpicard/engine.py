@@ -130,13 +130,21 @@ class CallbackContractError(ValueError):
 
 def resolve_budget(budget: int | None = None) -> int:
     """Effective draw budget: explicit argument, else the environment
-    variable ``MLPICARD_COST_BUDGET``, else one billion draws."""
+    variable ``MLPICARD_COST_BUDGET``, else one billion draws.  A variable
+    that is not a finite number raises ``ValueError`` naming it."""
     if budget is not None:
         return int(budget)
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        return int(float(env))
-    return DEFAULT_COST_BUDGET
+    if env is None:
+        return DEFAULT_COST_BUDGET
+    try:
+        value = float(env)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(
+            f"{BUDGET_ENV_VAR}={env!r} is not a finite number of draws")
+    return int(value)
 
 
 def _time_weight(r: np.ndarray, tau: np.ndarray, e: float) -> np.ndarray:

@@ -11,6 +11,10 @@ with an a-priori bound column, CSV output with a fixed schema) and
 :func:`run_test_battery` (sampler law tests, integral identity grid,
 a Feynman-Kac unbiasedness ladder, cost-ledger equality, and convergence
 trends on all cases, aggregated into a structured pass/fail report).
+
+``scipy.stats`` is imported inside :func:`check_sampler_laws`, the one
+function that runs a KS test, so the cases and :func:`run_convergence`
+do not pay for loading it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import kstest
 
 from .bounds import (
     ErrorBoundInput,
@@ -803,6 +806,8 @@ def check_sampler_laws(
     strictly within three exact standard errors of T/(e(1-e)); outside the
     reliable band [0.2, 0.8] the check fails with a heavy-tail flag.
     """
+    from scipy.stats import kstest
+
     critical = KS_CRITICAL_1PCT / math.sqrt(ks_samples)
     worst_ks = 0.0
     for idx, e in enumerate((0.3, 0.5, 0.7)):

@@ -14,6 +14,10 @@ module provides the closed form, an adaptive-quadrature evaluation of the
 factorized form, a Gamma-ratio upper bound, a lower bound for the
 beta = gamma = 1 case, and the p-th moment bound for the full weighted
 product along a sampled time chain.
+
+Only :func:`iterated_integral_quadrature` needs ``scipy.integrate``; it
+imports it when called, so importing this module (and the solver, which
+uses the bounds here) loads ``scipy.special`` alone.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 __all__ = [
@@ -129,6 +132,8 @@ def iterated_integral_quadrature(
     hypothesis fails and :class:`ToleranceNotMet` when the quadrature error
     estimate cannot certify ``rel_tol`` on the product.
     """
+    from scipy.integrate import quad
+
     ab = spec.alpha * spec.gamma - spec.beta
     if ab <= -1.0:
         raise NonIntegrable(

@@ -43,6 +43,17 @@ def test_solve_unknown_case_reports_error(capsys):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan", "abc"])
+def test_solve_bad_budget_variable_reports_error(monkeypatch, capsys, bad):
+    monkeypatch.setenv("MLPICARD_COST_BUDGET", bad)
+    rc = main(["solve", "--case", "linear-heat-quadratic", "--n", "1",
+               "--M", "1", "--reps", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"error: MLPICARD_COST_BUDGET='{bad}' is not a finite "
+                   "number of draws\n")
+
+
 def test_solve_time_outside_interval_exits():
     # Forward initial time maps onto the canonical terminal instant,
     # where the estimator is undefined.
