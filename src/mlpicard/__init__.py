@@ -4,6 +4,11 @@ The estimator returns joint (value, gradient) approximations of the
 solution at a single space-time point, with exact accounting of every
 scalar random draw, computable a-priori error bounds, and a manufactured-
 solution verification harness.  See the README for a quickstart.
+
+The top level exports the functions the README documents for library use
+and the classes and exceptions they take, return or raise; every other
+name is imported from its submodule (``mlpicard.harness``,
+``mlpicard.integrals``, ...).
 """
 
 from .bounds import (
@@ -15,9 +20,7 @@ from .bounds import (
     cost_bound_closed,
     cost_rv,
     error_bound,
-    gradient_bound,
     schedule,
-    solution_moment_bound,
 )
 from .core import (
     Convention,
@@ -28,10 +31,7 @@ from .core import (
     TimeMap,
     Violation,
     audit_lipschitz,
-    check_problem,
-    forward_problem,
     to_canonical,
-    validate_problem,
 )
 from .engine import (
     CallbackContractError,
@@ -42,110 +42,59 @@ from .engine import (
     RmseReport,
     evaluate,
     replicate,
-    resolve_budget,
     rmse,
 )
 from .harness import (
-    BUILTIN_CASES,
-    BatteryReport,
     BenchmarkCase,
-    CheckResult,
     ConvergenceRow,
     ResidualCheckFailed,
     UnknownCase,
     builtin_case,
     combined_error_ucl,
-    default_eval_points,
-    load_case_file,
-    registration_residual,
     run_convergence,
-    run_test_battery,
-    unbiasedness_gap,
-    verify_integral_identities,
     write_csv,
 )
-from .integrals import (
-    HypothesisViolated,
-    IteratedIntegralSpec,
-    NonIntegrable,
-    ToleranceNotMet,
-    iterated_integral_closed,
-    iterated_integral_lower_bound,
-    iterated_integral_quadrature,
-    iterated_integral_upper_bound,
-    product_moment_bound,
-)
-from .sampler import (
-    DrawLedger,
-    SecondMomentDiagnostic,
-    single_step_second_moment,
-    stream_uniforms,
-)
+from .integrals import HypothesisViolated
+from .sampler import stream_uniforms
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityViolated",
-    "BUILTIN_CASES",
-    "BatteryReport",
     "BenchmarkCase",
     "CallbackContractError",
-    "CheckResult",
     "Convention",
     "ConvergenceRow",
     "DepthCostGuard",
-    "DrawLedger",
     "EmptySample",
     "ErrorBoundInput",
     "FieldEstimate",
     "HypothesisViolated",
     "InvalidConvention",
     "InvalidProblem",
-    "IteratedIntegralSpec",
     "MlpConfig",
     "NoFeasibleDepth",
-    "NonIntegrable",
     "Overflow",
     "PdeProblem",
     "QueryAtTerminalTime",
     "RegularityData",
     "ResidualCheckFailed",
     "RmseReport",
-    "SecondMomentDiagnostic",
     "TimeMap",
-    "ToleranceNotMet",
     "UnknownCase",
     "Violation",
     "audit_lipschitz",
     "builtin_case",
-    "check_problem",
     "combined_error_ucl",
     "cost_bound_closed",
     "cost_rv",
-    "default_eval_points",
     "error_bound",
     "evaluate",
-    "forward_problem",
-    "gradient_bound",
-    "iterated_integral_closed",
-    "iterated_integral_lower_bound",
-    "iterated_integral_quadrature",
-    "iterated_integral_upper_bound",
-    "load_case_file",
-    "product_moment_bound",
-    "registration_residual",
     "replicate",
-    "resolve_budget",
     "rmse",
     "run_convergence",
-    "run_test_battery",
     "schedule",
-    "single_step_second_moment",
-    "solution_moment_bound",
     "stream_uniforms",
     "to_canonical",
-    "unbiasedness_gap",
-    "validate_problem",
-    "verify_integral_identities",
     "write_csv",
 ]

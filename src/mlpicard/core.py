@@ -32,6 +32,8 @@ f(y, z), wrap with :func:`forward_problem`.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -53,6 +55,14 @@ __all__ = [
 ]
 
 ThetaPath = tuple[int, ...]
+
+
+def is_int64(value) -> bool:
+    """An int or numpy integer (not a ``bool``) within int64, as a depth,
+    a base, a root seed or a stream-path entry must be."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool)
+            and -(1 << 63) <= value < (1 << 63))
 
 
 class Convention(enum.Enum):
@@ -156,6 +166,9 @@ def check_problem(problem: PdeProblem, config: MlpConfig) -> list[Violation]:
     if not problem.horizon > 0.0:
         out.append(Violation("horizon", "NonpositiveHorizon",
                              f"horizon must be > 0, got {problem.horizon}"))
+    elif not math.isfinite(problem.horizon):
+        out.append(Violation("horizon", "NonfiniteHorizon",
+                             f"horizon must be finite, got {problem.horizon}"))
     if problem.dimension >= 1:
         if len(problem.lipschitz_solution) != problem.dimension + 1:
             out.append(Violation(
@@ -171,12 +184,24 @@ def check_problem(problem: PdeProblem, config: MlpConfig) -> list[Violation]:
         if any(c < 0 for c in getattr(problem, name)):
             out.append(Violation(name, "NegativeLipschitz",
                                  "Lipschitz constants must be nonnegative"))
-    if config.depth < 0:
+    if not is_int64(config.depth):
+        out.append(Violation("depth", "NonIntegerDepth",
+                             f"depth must be an int64 integer, "
+                             f"got {config.depth!r}"))
+    elif config.depth < 0:
         out.append(Violation("depth", "NegativeDepth",
                              f"depth must be >= 0, got {config.depth}"))
-    if config.base < 1:
+    if not is_int64(config.base):
+        out.append(Violation("base", "NonIntegerBase",
+                             f"base must be an int64 integer, "
+                             f"got {config.base!r}"))
+    elif config.base < 1:
         out.append(Violation("base", "NonpositiveBase",
                              f"base must be >= 1, got {config.base}"))
+    if not is_int64(config.root_seed):
+        out.append(Violation(
+            "root_seed", "SeedNotInt64",
+            f"root seed must be an int64 integer, got {config.root_seed!r}"))
     if not 0.0 < config.time_cdf_exponent < 1.0:
         out.append(Violation(
             "time_cdf_exponent", "ExponentOutOfRange",
@@ -278,26 +303,23 @@ def forward_problem(
     )
 
 
-def audit_lipschitz(
-    problem: PdeProblem,
-    n_pairs: int = 256,
-    radius: float = 2.0,
-    root_seed: int = 0,
-    slack: float = 1e-9,
-) -> list[str]:
+def audit_lipschitz(problem: PdeProblem, n_pairs: int = 256) -> list[str]:
     """Sampled check of the declared Lipschitz constants.
 
-    Draws random argument pairs within ``radius`` of the origin and checks
+    Draws ``n_pairs`` random argument pairs, each coordinate in [-2, 2]
+    (times in [0, horizon]), from a fixed seed and checks
 
         max(|f(t,x,y,z) - f(t,xx,yy,zz)|, |g(x) - g(xx)|)
             <= sum_i L_i |(y,z)_i - (yy,zz)_i| + sum_i K_i |x_i - xx_i|
 
-    for the declared constants L (``lipschitz_solution``) and K
-    (``lipschitz_space``).  Returns human-readable descriptions of observed
-    breaches (empty when none found).  A sampled audit can only ever find
-    counterexamples, not certify the constants.
+    up to a slack of 1e-9, for the declared constants L
+    (``lipschitz_solution``) and K (``lipschitz_space``).  Returns
+    human-readable descriptions of observed breaches (empty when none
+    found).  A sampled audit can only ever find counterexamples, not
+    certify the constants.
     """
-    rng = np.random.default_rng(root_seed)
+    radius = 2.0
+    rng = np.random.default_rng(0)
     d = problem.dimension
     L = np.asarray(problem.lipschitz_solution, dtype=float)
     K = np.asarray(problem.lipschitz_space, dtype=float)
@@ -314,7 +336,7 @@ def audit_lipschitz(
     )
     g_gap = np.abs(g(x1) - g(x2))
     allowed = np.abs(u1 - u2) @ L + np.abs(x1 - x2) @ K
-    bad = np.maximum(f_gap, g_gap) > allowed + slack
+    bad = np.maximum(f_gap, g_gap) > allowed + 1e-9
     for idx in np.nonzero(bad)[0][:5]:
         breaches.append(
             f"pair {idx}: |f gap|={f_gap[idx]:.6g}, |g gap|={g_gap[idx]:.6g} "

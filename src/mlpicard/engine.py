@@ -65,6 +65,7 @@ path of the first offending row.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
@@ -84,7 +85,7 @@ from .core import (
     Violation,
     validate_problem,
 )
-from .sampler import DrawLedger, block_uniforms
+from .sampler import DrawLedger, block_uniforms, path_array
 
 __all__ = [
     "CallbackContractError",
@@ -130,20 +131,23 @@ class CallbackContractError(ValueError):
 
 def resolve_budget(budget: int | None = None) -> int:
     """Effective draw budget: explicit argument, else the environment
-    variable ``MLPICARD_COST_BUDGET``, else one billion draws.  A variable
-    that is not a finite number raises ``ValueError`` naming it."""
-    if budget is not None:
+    variable ``MLPICARD_COST_BUDGET``, else one billion draws.  An argument
+    or a variable that is not a finite number raises ``ValueError`` naming
+    it."""
+    name = "budget"
+    if budget is None:
+        budget = os.environ.get(BUDGET_ENV_VAR)
+        if budget is None:
+            return DEFAULT_COST_BUDGET
+        name = BUDGET_ENV_VAR
+    if isinstance(budget, numbers.Integral):
         return int(budget)
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is None:
-        return DEFAULT_COST_BUDGET
     try:
-        value = float(env)
-    except ValueError:
+        value = float(budget)
+    except (TypeError, ValueError):
         value = math.nan
     if not math.isfinite(value):
-        raise ValueError(
-            f"{BUDGET_ENV_VAR}={env!r} is not a finite number of draws")
+        raise ValueError(f"{name}={budget!r} is not a finite number of draws")
     return int(value)
 
 
@@ -166,7 +170,8 @@ def evaluate(
 
     The problem must be in canonical backward form (run
     :func:`mlpicard.core.to_canonical` first).  ``theta`` names the
-    replication; distinct values give independent estimates.  Raises
+    replication, a tuple of integers in int64 (anything else raises
+    ``ValueError``); distinct values give independent estimates.  Raises
     :class:`QueryAtTerminalTime` for t >= horizon, :class:`DepthCostGuard`
     when the exact predicted cost exceeds the budget (see
     :func:`resolve_budget`), :class:`~mlpicard.core.InvalidProblem`
@@ -196,6 +201,7 @@ def evaluate(
         raise QueryAtTerminalTime(
             f"t={t} >= horizon {problem.horizon}; at the horizon the field "
             "is (g(x), 0) exactly and needs no estimation")
+    paths = path_array(theta, "theta")
     allowed = resolve_budget(budget)
     predicted = cost_rv(d, config.depth, config.base)
     if predicted > allowed:
@@ -205,8 +211,7 @@ def evaluate(
 
     ledger = DrawLedger()
     workers = _workers() if predicted >= FANOUT_MIN_DRAWS else 1
-    vec = _batch(problem, config, config.depth,
-                 np.array([tuple(theta)], dtype=np.int64),
+    vec = _batch(problem, config, config.depth, paths,
                  np.array([t], dtype=float), x[None, :], ledger, workers)[0]
     return FieldEstimate(
         value=float(vec[0]), gradient=vec[1:].copy(), draws=ledger.scalar_draws
@@ -475,16 +480,16 @@ def replicate(
     t: float,
     x: np.ndarray,
     replications: int = 100,
-    budget: int | None = None,
 ) -> list[FieldEstimate]:
     """``replications`` independent estimates in replication order,
-    replication k using the stream family rooted at path (k,).  Fewer
-    than one replication raises :class:`~mlpicard.core.InvalidProblem`."""
+    replication k using the stream family rooted at path (k,), each under
+    the default draw budget (see :func:`resolve_budget`).  Fewer than one
+    replication raises :class:`~mlpicard.core.InvalidProblem`."""
     if replications < 1:
         raise InvalidProblem([Violation(
             "replications", "NonpositiveReplications",
             f"replications must be >= 1, got {replications}")])
-    return [evaluate(problem, config, t, x, theta=(k,), budget=budget)
+    return [evaluate(problem, config, t, x, theta=(k,))
             for k in range(1, replications + 1)]
 
 

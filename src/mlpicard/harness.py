@@ -340,26 +340,23 @@ BUILTIN_CASES = (
 )
 
 
-def registration_residual(
-    case: BenchmarkCase,
-    n_points: int = 25,
-    h: float = 1e-4,
-    seed: int = 12345,
-) -> float:
+def registration_residual(case: BenchmarkCase) -> float:
     """Max finite-difference PDE residual of the claimed exact solution.
 
     Backward cases check |d_t u + (1/2) Lap u + f(t, x, u, grad u)|, forward
-    cases |d_t w - Lap w - f(t, x, w, grad w)|, on a random (t, x) grid.
-    The time derivative is a central difference of the exact value; the
-    Laplacian is a central difference of the exact (analytic) gradient, so
-    the check is sensitive to errors in the gradient as well.
+    cases |d_t w - Lap w - f(t, x, w, grad w)|, on a fixed random grid of
+    25 points (t, x).  The time derivative is a central difference, step
+    1e-4, of the exact value; the Laplacian is a central difference of the
+    exact (analytic) gradient, so the check is sensitive to errors in the
+    gradient as well.
     """
-    rng = np.random.default_rng(seed)
+    h = 1e-4
+    rng = np.random.default_rng(12345)
     prob = case.problem
     d = prob.dimension
     T = prob.horizon
-    ts = rng.uniform(h, T - h, size=n_points)
-    xs = rng.uniform(-2.0, 2.0, size=(n_points, d))
+    ts = rng.uniform(h, T - h, size=25)
+    xs = rng.uniform(-2.0, 2.0, size=(25, d))
     worst = 0.0
     eye = np.eye(d)
     forward = prob.convention is Convention.FORWARD_FULL_LAPLACIAN
@@ -499,21 +496,19 @@ class ConvergenceRow:
 def _row_error_bound(
     case: BenchmarkCase,
     canonical: PdeProblem,
-    n: int,
-    base: int,
+    config: MlpConfig,
     s: float,
-    time_cdf_exponent: float,
 ) -> float:
     """A-priori bound column; NaN when no norms are supplied or the
     (p, alpha) hypotheses exclude the configuration."""
-    if case.norm_overrides is None or n < 1:
+    if case.norm_overrides is None or config.depth < 1:
         return math.nan
     try:
         return error_bound(ErrorBoundInput(
             p=4.0,
-            alpha=1.0 - time_cdf_exponent,
-            n=n,
-            base=base,
+            alpha=1.0 - config.time_cdf_exponent,
+            n=config.depth,
+            base=config.base,
             horizon=canonical.horizon,
             t=s,
             reg=case.norm_overrides,
@@ -530,11 +525,10 @@ def run_convergence(
     seed: int = 0,
     t: float | None = None,
     x: np.ndarray | None = None,
-    time_cdf_exponent: float = 0.5,
     include_timing: bool = False,
-    budget: int | None = None,
 ) -> list[ConvergenceRow]:
-    """Replicated error table over a schedule of (n, M) pairs.
+    """Replicated error table over a schedule of (n, M) pairs, at the
+    default time CDF exponent and draw budget.
 
     ``t`` is in the case's own clock (``None`` means canonical time 0, i.e.
     the start of the backward interval — the forward horizon for forward
@@ -550,15 +544,9 @@ def run_convergence(
     ref_value, ref_gradient = case.exact(t_own, np.asarray(x, dtype=float))
     rows: list[ConvergenceRow] = []
     for n, base in schedule:
-        config = MlpConfig(
-            depth=n,
-            base=base,
-            time_cdf_exponent=time_cdf_exponent,
-            root_seed=seed,
-        )
+        config = MlpConfig(depth=n, base=base, root_seed=seed)
         started = time.perf_counter()
-        estimates = replicate(canonical, config, s, x, replications,
-                              budget=budget)
+        estimates = replicate(canonical, config, s, x, replications)
         elapsed = time.perf_counter() - started
         report = rmse(estimates, ref_value, ref_gradient)
         rows.append(ConvergenceRow(
@@ -569,8 +557,7 @@ def run_convergence(
             rmse_value=report.rmse_value,
             rmse_grad_max=report.rmse_gradient_max,
             combined_error=report.combined,
-            error_bound=_row_error_bound(
-                case, canonical, n, base, s, time_cdf_exponent),
+            error_bound=_row_error_bound(case, canonical, config, s),
             draws=estimates[0].draws,
             wall_seconds=elapsed if include_timing else 0.0,
         ))
@@ -590,9 +577,8 @@ def combined_error_ucl(
     estimates: Sequence[FieldEstimate],
     reference_value: float,
     reference_gradient: np.ndarray,
-    z: float = 1.645,
 ) -> float:
-    """Upper confidence limit (default one-sided 95%) of the combined error.
+    """One-sided 95% upper confidence limit of the combined error.
 
     The combined error is sqrt(MSE_value + max_i MSE_gradient_i); the UCL
     applies a normal-approximation upper limit to the mean of the summed
@@ -607,7 +593,7 @@ def combined_error_ucl(
     gsq = (grads - ref_g[None, :]) ** 2
     worst = int(np.argmax(gsq.mean(axis=0)))
     w = sq + gsq[:, worst]
-    ucl = w.mean() + z * w.std(ddof=1) / math.sqrt(len(w))
+    ucl = w.mean() + 1.645 * w.std(ddof=1) / math.sqrt(len(w))
     return math.sqrt(max(ucl, 0.0))
 
 
@@ -617,17 +603,13 @@ def combined_error_ucl(
 
 
 def unbiasedness_gap(
-    depth: int,
-    replications: int,
-    sim_samples: int,
-    seed: int = 0,
-    time_cdf_exponent: float = 0.5,
-    dimension: int = 1,
-    base: int = 2,
+    depth: int, replications: int, sim_samples: int, seed: int = 0
 ) -> dict:
     """Engine mean of U_n versus an independently simulated expectation.
 
-    The depth-n estimator's mean must match
+    The case is grad-dependent-sine in d = 1, the estimator has base M = 2
+    and time CDF exponent e = 0.5, and the depth-n estimator's mean must
+    match
 
         E[g(x + W) (1, W / (T - t))]
         + E[(1/rho(R)) f(R, xi_R, U_{n-1}(R, xi_R)) (1, W_R / (R - t))]
@@ -641,17 +623,17 @@ def unbiasedness_gap(
     Returns a dict with the two mean vectors, per-coordinate gaps, the
     combined standard errors, and ``passed`` (all gaps within 4 sigma).
     """
-    case = builtin_case("grad-dependent-sine", dimension=dimension)
+    case = builtin_case("grad-dependent-sine")
     canonical, _ = to_canonical(case.problem)
     d = canonical.dimension
     T = canonical.horizon
     t = 0.0
     x = np.full(d, 1.0 / math.sqrt(d))
-    e = time_cdf_exponent
+    e = 0.5
     tau = T - t
 
     # Left side: engine replications.
-    config = MlpConfig(depth=depth, base=base, time_cdf_exponent=e,
+    config = MlpConfig(depth=depth, base=2, time_cdf_exponent=e,
                        root_seed=seed)
     estimates = replicate(canonical, config, t, x, replications)
     lhs = np.stack([est.as_vector() for est in estimates])
@@ -679,7 +661,7 @@ def unbiasedness_gap(
         field = np.zeros((sim_samples, 1 + d))
     else:
         field = np.empty((sim_samples, 1 + d))
-        sub_config = MlpConfig(depth=depth - 1, base=base,
+        sub_config = MlpConfig(depth=depth - 1, base=2,
                                time_cdf_exponent=e,
                                root_seed=seed + 1_234_567)
         for k in range(sim_samples):
@@ -721,20 +703,20 @@ _IDENTITY_GRID = tuple(
 )
 
 
-def verify_integral_identities(
-    horizon: float = 1.0, rel_tol: float = 1e-6
-) -> tuple[list[dict], bool]:
-    """Closed form vs quadrature on the standard grid, plus bound ordering.
+def verify_integral_identities() -> tuple[list[dict], bool]:
+    """Closed form vs quadrature on the standard grid (horizon 1), within
+    relative 1e-6, plus bound ordering.
 
     Returns (rows, all_ok); each row records the grid point, both integral
     values, the relative gap, and — where the bounds' hypotheses admit the
     point — the lower/upper bounds with their ordering status.
     """
+    rel_tol = 1e-6
     rows: list[dict] = []
     all_ok = True
     for j, alpha, beta, gamma in _IDENTITY_GRID:
         spec = IteratedIntegralSpec(
-            j=j, alpha=alpha, beta=beta, gamma=gamma, horizon=horizon)
+            j=j, alpha=alpha, beta=beta, gamma=gamma, horizon=1.0)
         closed = iterated_integral_closed(spec)
         quad = iterated_integral_quadrature(spec, rel_tol=rel_tol)
         gap = abs(closed - quad) / abs(closed)
@@ -749,7 +731,7 @@ def verify_integral_identities(
             row["upper"] = upper
             ok = ok and closed <= upper * (1.0 + 1e-12)
         if beta == 1.0 and gamma == 1.0:
-            lower = iterated_integral_lower_bound(j - 1, horizon)
+            lower = iterated_integral_lower_bound(j - 1, 1.0)
             row["lower"] = lower
             ok = ok and lower <= closed * (1.0 + 1e-12)
         row["ok"] = ok

@@ -47,6 +47,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
+from .core import is_int64
+
 __all__ = [
     "DrawLedger",
     "stream_uniforms",
@@ -112,7 +114,7 @@ def _words(root_seed: int, paths: np.ndarray, width: int) -> np.ndarray:
     paths ^= salts
     paths *= mults
     # Python-int arithmetic: a numpy-scalar overflow would warn on every call.
-    # np.int64 rejects a seed outside int64, as asarray does a path entry.
+    # np.int64 rejects a seed outside int64.
     seed_term = np.uint64((int(np.int64(root_seed)) * seed_mult) & _MASK)
     key = _mix64(np.add.reduce(paths, axis=1, initial=seed_term))
     steps = np.arange(1, width + 1, dtype=np.uint64)
@@ -130,6 +132,21 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     return u
 
 
+def path_array(path: tuple[int, ...], name: str) -> np.ndarray:
+    """``path`` as a ``(1, L)`` int64 array of one stream path.
+
+    An entry that is not an integer within int64 (a ``bool`` is not one)
+    raises ``ValueError`` naming the argument ``name``: conversion alone
+    would truncate 1.5 to 1, so that two paths would share one stream.
+    """
+    path = tuple(path)
+    for entry in path:
+        if not is_int64(entry):
+            raise ValueError(
+                f"{name}={path!r}: entry {entry!r} is not an int64 integer")
+    return np.array(path, dtype=np.int64).reshape(1, -1)
+
+
 def stream_uniforms(
     root_seed: int,
     path: tuple[int, ...],
@@ -144,8 +161,7 @@ def stream_uniforms(
     """
     if n < 0:
         raise ValueError("draw count must be nonnegative")
-    paths = np.array(tuple(path), dtype=np.int64).reshape(1, -1)
-    return _to_uniform(_words(root_seed, paths, n))[0]
+    return _to_uniform(_words(root_seed, path_array(path, "path"), n))[0]
 
 
 def block_uniforms(

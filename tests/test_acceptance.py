@@ -16,28 +16,30 @@ import pytest
 from scipy.special import gammaln
 
 from mlpicard import (
-    CheckResult,
     ErrorBoundInput,
-    IteratedIntegralSpec,
     MlpConfig,
     builtin_case,
     combined_error_ucl,
-    default_eval_points,
     error_bound,
-    iterated_integral_closed,
-    iterated_integral_lower_bound,
-    iterated_integral_upper_bound,
     replicate,
     run_convergence,
     to_canonical,
     write_csv,
 )
 from mlpicard.harness import (
+    CheckResult,
     check_convergence_trend,
     check_cost_ledger,
     check_integral_identities,
     check_sampler_laws,
     check_unbiasedness_ladder,
+    default_eval_points,
+)
+from mlpicard.integrals import (
+    IteratedIntegralSpec,
+    iterated_integral_closed,
+    iterated_integral_lower_bound,
+    iterated_integral_upper_bound,
 )
 
 

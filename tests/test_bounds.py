@@ -16,10 +16,9 @@ from mlpicard import (
     cost_bound_closed,
     cost_rv,
     error_bound,
-    gradient_bound,
     schedule,
-    solution_moment_bound,
 )
+from mlpicard.bounds import gradient_bound, solution_moment_bound
 
 
 def make_reg(**overrides):

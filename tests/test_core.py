@@ -1,5 +1,7 @@
 """Problem/config validation, convention adapter, and Lipschitz audit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,10 @@ from mlpicard import (
     PdeProblem,
     TimeMap,
     audit_lipschitz,
-    check_problem,
-    forward_problem,
+    evaluate,
     to_canonical,
-    validate_problem,
 )
+from mlpicard.core import check_problem, forward_problem, validate_problem
 
 
 def make_problem(**overrides):
@@ -93,6 +94,33 @@ def test_validate_problem_raises_with_violation_list():
     codes_seen = {v.code for v in excinfo.value.violations}
     assert {"NonpositiveHorizon", "NegativeDepth"} <= codes_seen
     assert "NonpositiveHorizon" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("problem_kw, config_kw, field, code", [
+    ({"horizon": math.inf}, {}, "horizon", "NonfiniteHorizon"),
+    ({}, {"depth": 1.5}, "depth", "NonIntegerDepth"),
+    ({}, {"depth": True}, "depth", "NonIntegerDepth"),
+    ({}, {"base": 2.5}, "base", "NonIntegerBase"),
+    ({}, {"root_seed": 2**64}, "root_seed", "SeedNotInt64"),
+    ({}, {"root_seed": -2**63 - 1}, "root_seed", "SeedNotInt64"),
+    ({}, {"root_seed": 1.5}, "root_seed", "SeedNotInt64"),
+])
+def test_evaluate_names_the_invalid_field(problem_kw, config_kw, field, code):
+    # Each of these used to pass validation and fail later: a non-finite
+    # g at the horizon's path, a TypeError inside the engine, or an
+    # OverflowError (or a silent truncation) when hashing the seed.
+    with pytest.raises(InvalidProblem) as excinfo:
+        evaluate(make_problem(**problem_kw), make_config(**config_kw), 0.0,
+                 np.zeros(1))
+    assert [(v.field, v.code) for v in excinfo.value.violations] == [
+        (field, code)]
+
+
+def test_numpy_integers_and_int64_seed_limits_are_valid():
+    for seed in (-2**63, 2**63 - 1, np.uint64(7)):
+        config = make_config(depth=np.int64(2), base=np.int32(2),
+                             root_seed=seed)
+        assert check_problem(make_problem(), config) == []
 
 
 def test_backward_problem_is_fixed_point_of_canonicalization():

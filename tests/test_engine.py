@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlpicard import (
-    BUILTIN_CASES,
     CallbackContractError,
     DepthCostGuard,
     EmptySample,
@@ -26,11 +25,11 @@ from mlpicard import (
     cost_rv,
     evaluate,
     replicate,
-    resolve_budget,
     rmse,
     to_canonical,
 )
-from mlpicard.engine import BUDGET_ENV_VAR, DEFAULT_COST_BUDGET
+from mlpicard.engine import BUDGET_ENV_VAR, DEFAULT_COST_BUDGET, resolve_budget
+from mlpicard.harness import BUILTIN_CASES
 
 
 def linear_problem(slope=1.5, dimension=1):
@@ -340,6 +339,32 @@ def test_resolve_budget_precedence(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV_VAR, "5e6")
     assert resolve_budget() == 5_000_000
     assert resolve_budget(123) == 123
+
+
+@pytest.mark.parametrize("theta", [(1.5,), (True,), (np.bool_(True),),
+                                   (2**63,), (0, -2**63 - 1)])
+def test_non_integer_theta_rejected(theta):
+    # int64 conversion would truncate 1.5 (and True) to 1, so the estimate
+    # would silently reuse replication (1,)'s streams.
+    with pytest.raises(ValueError, match="theta"):
+        evaluate(linear_problem(), MlpConfig(depth=1, base=1), 0.0,
+                 np.array([0.0]), theta=theta)
+
+
+def test_numpy_integer_theta_matches_python_int():
+    prob = linear_problem()
+    config = MlpConfig(depth=2, base=2, root_seed=3)
+    a = evaluate(prob, config, 0.0, np.array([0.0]), theta=(np.int64(1),))
+    b = evaluate(prob, config, 0.0, np.array([0.0]), theta=(1,))
+    assert a.value == b.value and np.array_equal(a.gradient, b.gradient)
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, "abc"])
+def test_non_finite_budget_argument_rejected(budget):
+    with pytest.raises(ValueError,
+                       match="budget=.* is not a finite number of draws"):
+        evaluate(linear_problem(), MlpConfig(depth=1, base=1), 0.0,
+                 np.array([0.0]), budget=budget)
 
 
 def test_rmse_zero_for_exact_estimates():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mlpicard import (
-    BUILTIN_CASES,
     EmptySample,
     FieldEstimate,
     ResidualCheckFailed,
@@ -15,17 +14,21 @@ from mlpicard import (
     builtin_case,
     combined_error_ucl,
     cost_rv,
+    run_convergence,
+    to_canonical,
+    write_csv,
+)
+from mlpicard.harness import (
+    BUILTIN_CASES,
+    RESIDUAL_GATE,
+    check_sampler_laws,
     default_eval_points,
     load_case_file,
     registration_residual,
-    run_convergence,
     run_test_battery,
-    to_canonical,
     unbiasedness_gap,
     verify_integral_identities,
-    write_csv,
 )
-from mlpicard.harness import RESIDUAL_GATE, check_sampler_laws
 
 
 def test_builtin_cases_have_small_pde_residuals():

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and the public
+surface is the one the README documents.
 
 No linter is configured for the project, so this scans the package and the
 test modules with the standard library's ``ast``.  ``from __future__``
@@ -6,7 +7,13 @@ imports and names re-exported through ``__all__`` are exempt.
 """
 
 import ast
+import importlib
+import importlib.util
+import re
+import sys
 from pathlib import Path
+
+import mlpicard
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "mlpicard").glob("*.py")) + sorted(
@@ -53,3 +60,58 @@ def test_no_unused_imports():
              for path in SOURCES
              if (unused := unused_imports(path.read_text()))}
     assert found == {}
+
+
+# The README's functions for library use, and the classes and exceptions
+# they take, return or raise (README, "Public interface").
+PUBLIC = sorted([
+    "evaluate", "replicate", "rmse", "combined_error_ucl", "cost_rv",
+    "cost_bound_closed", "error_bound", "schedule", "to_canonical",
+    "audit_lipschitz", "stream_uniforms", "builtin_case", "run_convergence",
+    "write_csv",
+    "PdeProblem", "MlpConfig", "Convention", "FieldEstimate", "RmseReport",
+    "TimeMap", "ErrorBoundInput", "RegularityData", "BenchmarkCase",
+    "ConvergenceRow",
+    "InvalidProblem", "Violation", "InvalidConvention", "QueryAtTerminalTime",
+    "DepthCostGuard", "CallbackContractError", "EmptySample", "Overflow",
+    "AdmissibilityViolated", "NoFeasibleDepth", "HypothesisViolated",
+    "UnknownCase", "ResidualCheckFailed",
+])
+
+
+def test_top_level_exports_the_documented_interface():
+    assert sorted(mlpicard.__all__) == PUBLIC
+    assert [name for name in PUBLIC if not hasattr(mlpicard, name)] == []
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Public interface", 1)[1].split("\n## ", 1)[0]
+    assert [name for name in PUBLIC if f"`{name}`" not in section] == []
+
+
+def test_readme_imports_resolve():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    imports = [node for block in blocks for node in ast.walk(ast.parse(block))
+               if isinstance(node, ast.ImportFrom)
+               and node.module.partition(".")[0] == "mlpicard"]
+    assert imports
+    missing = [f"{node.module}.{alias.name}"
+               for node in imports for alias in node.names
+               if not hasattr(importlib.import_module(node.module), alias.name)]
+    assert missing == []
+
+
+def test_traced_names_exist(monkeypatch):
+    # The benchmark's tracer patches these attributes; a missing one would
+    # make a traced run report it absent and lose its spans.
+    spec = importlib.util.spec_from_file_location(
+        "_bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    absent = []
+    for _, attrs, _, _ in tracing.TARGETS:
+        for dotted in attrs:
+            module, _, attr = dotted.rpartition(".")
+            if not hasattr(importlib.import_module(module), attr):
+                absent.append(dotted)
+    assert absent == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from mlpicard import (
+from mlpicard.integrals import (
     HypothesisViolated,
     IteratedIntegralSpec,
     NonIntegrable,

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtri
 
-from mlpicard import (
+from mlpicard import sampler, stream_uniforms
+from mlpicard.sampler import (
     DrawLedger,
+    block_uniforms,
     single_step_second_moment,
-    stream_uniforms,
 )
-from mlpicard import sampler
-from mlpicard.sampler import block_uniforms
 
 INT64 = st.integers(-2**63, 2**63 - 1)
 PATHS = st.lists(INT64, max_size=4).map(tuple)
@@ -99,6 +98,20 @@ def test_ledger_counts_scalar_draws():
 def test_negative_draw_count_rejected():
     with pytest.raises(ValueError):
         stream_uniforms(0, (1,), -1)
+
+
+@pytest.mark.parametrize("path", [(1.5,), (True,), (np.bool_(False),),
+                                  (2**63,), (-2**63 - 1,), (1, 2.0)])
+def test_non_integer_path_entries_rejected(path):
+    # int64 conversion would truncate 1.5 to 1 and True to 1, so two
+    # distinct paths would share one stream.
+    with pytest.raises(ValueError, match="path"):
+        stream_uniforms(3, path, 4)
+
+
+def test_numpy_integer_path_entries_accepted():
+    assert np.array_equal(stream_uniforms(3, (np.int64(1), np.uint8(2)), 4),
+                          stream_uniforms(3, (1, 2), 4))
 
 
 def test_stream_v2_known_answers():
