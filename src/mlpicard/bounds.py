@@ -230,7 +230,9 @@ def cost_rv(d: int, n: int, base: int) -> int:
         RV(d, n, M) = d M^n
             + sum_{l=0}^{n-1} M^(n-l) (d + 1 + RV(d, l, M) + [l >= 1] RV(d, l-1, M)).
 
-    The engine's ledger is required to meet this exactly.
+    The engine's ledger is required to meet this exactly.  RV grows with n,
+    so the table stops at the first depth past the 128-bit limit: the
+    ``Overflow`` is immediate at any n.
     """
     if d < 1 or base < 1 or n < 0:
         raise ValueError("need d >= 1, M >= 1, n >= 0")
@@ -242,11 +244,11 @@ def cost_rv(d: int, n: int, base: int) -> int:
             if l >= 1:
                 inner += table[l - 1]
             total += base ** (m - l) * inner
+        if total > _COST_LIMIT:
+            raise Overflow(f"cost of depth {n} exceeds 128-bit accounting "
+                           f"(depth {m} already costs {total})")
         table.append(total)
-    value = table[n]
-    if value > _COST_LIMIT:
-        raise Overflow(f"cost {value} exceeds 128-bit accounting")
-    return value
+    return table[n]
 
 
 def cost_bound_closed(d: int, n: int, base: int) -> int:

@@ -25,8 +25,7 @@ Terminal data and nonlinearity are evaluated on batches:
   returns shape (m,).
 
 The ``t, x`` arguments are always in the problem's own convention (the
-adapter rewires them).  For autonomous forward nonlinearities in the form
-f(y, z), wrap with :func:`forward_problem`.
+adapter rewires them).
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "validate_problem",
     "TimeMap",
     "to_canonical",
-    "forward_problem",
     "audit_lipschitz",
 ]
 
@@ -273,34 +271,6 @@ def to_canonical(problem: PdeProblem) -> tuple[PdeProblem, TimeMap]:
         convention=Convention.BACKWARD_HALF_LAPLACIAN,
     )
     return canonical, TimeMap(slope=-2.0, offset=2.0 * horizon)
-
-
-def forward_problem(
-    dimension: int,
-    horizon: float,
-    initial_data: Callable[[np.ndarray], np.ndarray],
-    nonlinearity_yz: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lipschitz_solution: tuple[float, ...],
-    lipschitz_space: tuple[float, ...],
-) -> PdeProblem:
-    """Forward-convention problem with an autonomous nonlinearity f(y, z).
-
-    This is the natural signature for dw/dt = Lap w + f(w, grad w),
-    w(0, .) = g; the wrapper lifts f to the uniform (t, x, y, z) form.
-    """
-
-    def lifted(t, x, y, z, _f=nonlinearity_yz):
-        return _f(y, z)
-
-    return PdeProblem(
-        dimension=dimension,
-        horizon=horizon,
-        terminal_data=initial_data,
-        nonlinearity=lifted,
-        lipschitz_solution=lipschitz_solution,
-        lipschitz_space=lipschitz_space,
-        convention=Convention.FORWARD_FULL_LAPLACIAN,
-    )
 
 
 def audit_lipschitz(problem: PdeProblem, n_pairs: int = 256) -> list[str]:

@@ -35,22 +35,24 @@ a node-by-node walk takes 14,026.  Each node keeps its own draws and its
 own means over its own samples, so the estimates are bit for bit those of
 a node-by-node recursion.
 
-Every group runs in three phases: (1) draw its level blocks l >= 1, the
-ones with children, in level order; (2) evaluate its child groups (l, hi)
-and (l-1, lo); (3) call g on the terminal block, then, level by level, f
-on each level block (the level-0 block, the largest, is drawn only here)
-and add its weighted mean into the running sums, in the same order as
-ever, so every sum keeps its bits.  Below the root, phase 2 runs on
-demand inside phase 3, on the calling thread.  At the root of an estimate
-that costs at least ``FANOUT_MIN_DRAWS`` draws, phase 2 fans out: the
-child groups' nodes are cut into one job per CPU the process may run on,
-balanced by their exact predicted draws (:func:`_plan`); the calling
-thread runs one job and threads started for this call run the others.
+Every group evaluates in one order: (1) draw its level blocks l >= 1, the
+ones with children, and form their child groups (l, hi) and (l-1, lo); (2)
+call g on the terminal block; (3) draw the level-0 block, the largest,
+call f on it at the zero field, add it into the running sums and free it;
+(4) evaluate the child groups in group order; (5) for l = 1..n-1 in level
+order, call f at the children's estimates and add into the running sums.
+Each node's sums take g, then level 0, 1, .., n-1, the order of a
+node-by-node walk, so every sum keeps its bits.  At the root of an
+estimate that costs at least ``FANOUT_MIN_DRAWS`` draws, step 4 fans out:
+the child groups' nodes are cut into one job per CPU the process may run
+on, balanced by their exact predicted draws (:func:`_plan`); the other
+jobs start on threads of their own before step 2, the calling thread runs
+job 0 at step 4, and each group's estimates are joined in job order.
 Nodes are independent and their streams disjoint, so the split changes no
 bit; each job counts its draws in a ledger of its own, added in job order.
-Phase 3 reads the jobs' results level by level and calls level l's f
-before it looks at level l+1, and replays a failed level on the calling
-thread, so a callback error is the one a one-thread run raises.
+If anything raises under the fan-out, the threads are joined and the whole
+estimate is replayed on the calling thread, so the error raised is the one
+a one-thread run raises.
 
 A group of K nodes at depth l has K M**l <= M**n, so every block has at
 most M**n rows; with at most n groups alive along the recursion, working
@@ -270,111 +272,114 @@ def _batch(
     out = np.zeros((k, 1 + d))
     if depth <= 0:
         return out
-    g = problem.terminal_data
-    f = problem.nonlinearity
     base = config.base
     e = config.time_cdf_exponent
     seed = config.root_seed
     tau = (problem.horizon - t)[:, None]
-    sqrt_tau = np.sqrt(tau)
 
-    # Phase 1: the level blocks that have children, l = 1..depth-1, in
-    # level order.  The level-0 block, the largest, is drawn when phase 3
-    # reaches it, so that it is never alive together with the others.
-    blocks = [None] + [
-        _level_block(seed, paths, t, x, tau, e, level,
-                     base ** (depth - level), ledger)
-        for level in range(1, depth)]
-
-    # Phase 2: the child groups (l, hi) and (l-1, lo), l = 1..depth-1, at
-    # the level-l samples; group 2l-2 is (l, hi), group 2l-1 is (l-1, lo).
-    # Job 0, all of them unless this group fans out, is evaluated on this
-    # thread as phase 3 reaches each level; the other jobs start now, on
-    # threads of their own.
+    # 1. The level blocks l = 1..depth-1, whose samples have children, and
+    # the child groups at their samples: group 2l-2 is (l, hi), group 2l-1
+    # is (l-1, lo).
+    blocks = [_level_block(seed, paths, t, x, tau, e, level,
+                           base ** (depth - level), ledger)
+              for level in range(1, depth)]
     groups = []
-    for level in range(1, depth):
-        _, rows, suffixes, _, _, s, _, xi = blocks[level]
+    for level, (_, rows, suffixes, _, _, s, _, xi) in enumerate(blocks, 1):
         hi_paths = np.concatenate([rows, suffixes], axis=1)
         lo_paths = hi_paths.copy()
         lo_paths[:, -2] = -level
         groups += [(level, hi_paths, s, xi), (level - 1, lo_paths, s, xi)]
-    jobs = [[(i, 0, len(group[1])) for i, group in enumerate(groups)]]
-    if workers > 1 and groups:
-        jobs = _plan(groups, d, base, k * cost_rv(d, depth, base), workers)
+    jobs = (_plan(groups, d, base, k * cost_rv(d, depth, base), workers)
+            if workers > 1 and groups else [])
     pool = ThreadPoolExecutor(len(jobs) - 1) if len(jobs) > 1 else None
     try:
         futures = [pool.submit(copy_context().run, _job, problem, config,
                                groups, job) for job in jobs[1:]]
-
-        # Phase 3, in the order of a serial walk: g, then level by level
-        # the child estimates, f and the running sums.
-        # Terminal block: M**depth samples of g per node, differenced
-        # against g(x); one g call takes the K query points followed by the
-        # samples.
-        m = base**depth
-        rows, suffixes = _rows(paths, 0, m, -1)
-        z = ndtri(block_uniforms(seed, rows, suffixes, d, ledger).reshape(
-            k, m, d))
-        points = np.concatenate(
-            [x, (x[:, None, :] + sqrt_tau[:, :, None] * z).reshape(-1, d)])
-        gv = _checked("g", g(points), k + k * m,
-                      lambda j: _path(paths, j) if j < k
-                      else _path(rows, j - k, suffixes))
-        g_at_x = gv[:k]
-        dg = gv[k:].reshape(k, m) - g_at_x[:, None]
-        # Means as sum / m: np.mean's own arithmetic, without its call
-        # overhead.
-        out[:, 0] = g_at_x + dg.sum(axis=1) / m
-        out[:, 1:] = (dg[:, :, None] * z).sum(axis=1) / m / sqrt_tau
-        del rows, suffixes, z, points, gv, dg
-
-        for level in range(depth):
-            m, rows, suffixes, r, z, s, root, xi = (
-                blocks[level] if level else _level_block(
-                    seed, paths, t, x, tau, e, 0, base**depth, ledger))
-            count = k * m
-            if level == 0:
-                fv = _checked("f", f(s, xi, np.zeros(count),
-                                     np.zeros((count, d))),
-                              count, lambda j: _path(rows, j, suffixes))
-            else:
-                pair = (2 * level - 2, 2 * level - 1)
-                try:
-                    field = _field(problem, config, groups, jobs, futures,
-                                   pair, ledger)
-                except Exception:
-                    if futures:
-                        # A split group hands g and f fewer rows per call:
-                        # replay this level whole here, so that the error
-                        # raised is the one-thread error, shape, row and
-                        # stream path alike.
-                        for i in pair:
-                            _batch(problem, config, *groups[i], DrawLedger())
-                    raise
-                # One f call takes the rows at the depth-l field, then the
-                # same rows at the depth-(l-1) field.
-                fv = _checked("f", f(np.concatenate([s, s]),
-                                     np.concatenate([xi, xi]),
-                                     field[:, 0], field[:, 1:]),
-                              2 * count,
-                              lambda j: _path(rows, j % count, suffixes))
-                fv = fv[:count] - fv[count:]
-                del field
-            w = _time_weight(r, tau, e) * fv.reshape(k, m)
-            out[:, 0] += w.sum(axis=1) / m
-            # w / root -> 0 where r underflowed to 0 (e near 0): the
-            # integrand's limit for e < 1/2, instead of 0/0.
-            ratio = np.divide(w, root, out=np.zeros(w.shape), where=root > 0)
-            out[:, 1:] += (ratio[:, :, None] * z).sum(axis=1) / m
-            # Free the block before the next level's children recurse: the
-            # largest blocks come first, the deepest subtrees last.
-            blocks[level] = None
-        for future in futures:
-            ledger.add(future.result()[1].scalar_draws)
+        # 2. g on the terminal block; 3. the level-0 block, the largest,
+        # drawn, used and freed before any child group is evaluated.
+        _terminal(out, problem.terminal_data, seed, paths, x, tau,
+                  base**depth, ledger)
+        _add_level(out, problem.nonlinearity, tau, e, _level_block(
+            seed, paths, t, x, tau, e, 0, base**depth, ledger))
+        # 4. The child groups, in group order.
+        if pool is None:
+            fields = [_batch(problem, config, *group, ledger)
+                      for group in groups]
+        else:
+            parts = [[] for _ in groups]
+            for done, draws in [_job(problem, config, groups, jobs[0]),
+                                *(future.result() for future in futures)]:
+                ledger.add(draws)
+                for i, estimates in done:
+                    parts[i].append(estimates)
+            fields = [np.concatenate(part) for part in parts]
+        # 5. f at the child estimates, level by level.
+        for level, block in enumerate(blocks, 1):
+            _add_level(out, problem.nonlinearity, tau, e, block,
+                       np.concatenate(fields[2 * level - 2:2 * level]))
+    except Exception:
+        if pool is None:
+            raise
+        # Jobs fail in any order, and a split group hands g and f fewer
+        # rows per call: replay the estimate here, so that the error raised
+        # is the one-thread error, shape, row and stream path alike.
+        pool.shutdown()
+        _batch(problem, config, depth, paths, t, x, DrawLedger())
+        raise
     finally:
         if pool is not None:
             pool.shutdown()
     return out
+
+
+def _terminal(out, g, seed, paths, x, tau, m, ledger):
+    """Set the running sums ``out`` to the terminal block's estimates: m
+    samples of g per node, differenced against g(x); one g call takes the K
+    query points followed by the samples."""
+    k, d = x.shape
+    sqrt_tau = np.sqrt(tau)
+    rows, suffixes = _rows(paths, 0, m, -1)
+    z = ndtri(block_uniforms(seed, rows, suffixes, d, ledger).reshape(
+        k, m, d))
+    points = np.concatenate(
+        [x, (x[:, None, :] + sqrt_tau[:, :, None] * z).reshape(-1, d)])
+    gv = _checked("g", g(points), k + k * m,
+                  lambda j: _path(paths, j) if j < k
+                  else _path(rows, j - k, suffixes))
+    g_at_x = gv[:k]
+    dg = gv[k:].reshape(k, m) - g_at_x[:, None]
+    # Means as sum / m: np.mean's own arithmetic, without its call overhead.
+    out[:, 0] = g_at_x + dg.sum(axis=1) / m
+    # The score Z / sqrt(T - t) -> 0 where a node sits at the horizon
+    # (a sample time that rounded onto T), instead of 0/0: its exact
+    # gradient is 0 there.
+    np.divide((dg[:, :, None] * z).sum(axis=1) / m, sqrt_tau, out=out[:, 1:],
+              where=sqrt_tau > 0)
+
+
+def _add_level(out, f, tau, e, block, field=None):
+    """Add a level block's weighted means of f into the running sums
+    ``out``.  Without ``field`` (level 0) f is called at the zero field;
+    else one f call takes the block's rows at the depth-l estimates, the
+    first half of ``field``, then the same rows at the depth-(l-1) ones,
+    the second half, and the difference is used."""
+    m, rows, suffixes, r, z, s, root, xi = block
+    count = r.size
+    if field is None:
+        fv = _checked("f", f(s, xi, np.zeros(count),
+                             np.zeros((count, xi.shape[1]))),
+                      count, lambda j: _path(rows, j, suffixes))
+    else:
+        fv = _checked("f", f(np.concatenate([s, s]), np.concatenate([xi, xi]),
+                             field[:, 0], field[:, 1:]),
+                      2 * count, lambda j: _path(rows, j % count, suffixes))
+        fv = fv[:count] - fv[count:]
+    w = _time_weight(r, tau, e) * fv.reshape(r.shape)
+    out[:, 0] += w.sum(axis=1) / m
+    # w / root -> 0 where r underflowed to 0 (e near 0): the integrand's
+    # limit for e < 1/2, instead of 0/0.
+    ratio = np.divide(w, root, out=np.zeros(w.shape), where=root > 0)
+    out[:, 1:] += (ratio[:, :, None] * z).sum(axis=1) / m
 
 
 def _level_block(seed, paths, t, x, tau, e, level, m, ledger):
@@ -433,45 +438,17 @@ def _plan(groups: list, d: int, base: int, total: int, workers: int) -> list:
     return jobs
 
 
-def _piece(problem, config, groups, piece, ledger) -> np.ndarray:
-    """Estimates of nodes a..b-1 of group i, for ``piece = (i, a, b)``."""
-    i, a, b = piece
-    depth, paths, t, x = groups[i]
-    return _batch(problem, config, depth, paths[a:b], t[a:b], x[a:b], ledger)
-
-
 def _job(problem, config, groups, pieces):
-    """A worker thread's job: its pieces in group order, on a ledger of its
-    own.  Stops at the first failure and returns it with the results before
-    it, for phase 3 to raise when it reaches that piece's level."""
+    """A fan-out job: the estimates of its ``pieces`` (i, a, b), nodes
+    a..b-1 of group i, as (i, estimates) pairs in piece order, and the
+    draws they took."""
     ledger = DrawLedger()
     done = []
-    try:
-        for piece in pieces:
-            done.append(_piece(problem, config, groups, piece, ledger))
-    except Exception as exc:  # handed to the calling thread, as by a future
-        return done, ledger, exc
-    return done, ledger, None
-
-
-def _field(problem, config, groups, jobs, futures, pair, ledger):
-    """Estimates of the nodes of the two groups in ``pair``, in group and
-    node order.  This thread's own pieces (job 0) are evaluated first, then
-    the other jobs' are read from their futures."""
-    refs = [(j, p) for i in pair for j, job in enumerate(jobs)
-            for p, piece in enumerate(job) if piece[0] == i]
-    own = {p: _piece(problem, config, groups, jobs[0][p], ledger)
-           for j, p in refs if j == 0}
-    parts = []
-    for j, p in refs:
-        if j == 0:
-            parts.append(own[p])
-            continue
-        done, _, exc = futures[j - 1].result()
-        if p >= len(done):
-            raise exc
-        parts.append(done[p])
-    return np.concatenate(parts)
+    for i, a, b in pieces:
+        depth, paths, t, x = groups[i]
+        done.append((i, _batch(problem, config, depth, paths[a:b], t[a:b],
+                               x[a:b], ledger)))
+    return done, ledger.scalar_draws
 
 
 def replicate(

@@ -11,9 +11,8 @@ exponent is e = 1 - alpha), the j-fold iterated integral
 
 normalizes, factor by factor, to one-dimensional Beta-type integrals.  This
 module provides the closed form, an adaptive-quadrature evaluation of the
-factorized form, a Gamma-ratio upper bound, a lower bound for the
-beta = gamma = 1 case, and the p-th moment bound for the full weighted
-product along a sampled time chain.
+factorized form, a Gamma-ratio upper bound and a lower bound for the
+beta = gamma = 1 case.
 
 Only :func:`iterated_integral_quadrature` needs ``scipy.integrate``; it
 imports it when called, so importing this module (and the solver, which
@@ -36,7 +35,6 @@ __all__ = [
     "iterated_integral_quadrature",
     "iterated_integral_upper_bound",
     "iterated_integral_lower_bound",
-    "product_moment_bound",
 ]
 
 
@@ -211,62 +209,3 @@ def iterated_integral_lower_bound(j: int, horizon: float, start: float = 0.0) ->
         (j + 1) * math.log(math.pi * (horizon - start))
         - 2.0 * gammaln((j + 3) / 2.0)
     )
-
-
-def product_moment_bound(
-    j: int, p: float, alpha: float, horizon: float, t: float = 0.0
-) -> float:
-    """p-th moment bound for the weighted product along a sampled time chain.
-
-    The chain is S(0) = t, S(i+1) = S(i) + (T - S(i)) r_i with r_i drawn
-    from the density (1-alpha) b^(-alpha); the bounded quantity is
-
-        E[ | prod_{i=0}^{j} (1/varrho(S(i), S(i+1)))
-                 <e_{nu_i}, (1, (W_{S(i+1)} - W_{S(i)})/(S(i+1) - S(i)))> |^p ]
-
-    for any coordinate choices nu_i, where varrho(r, s) =
-    rho((s-r)/(T-r))/(T-r) is the chain's transition density.  Hypotheses:
-    p > 1 and alpha(p-1) <= p/2 <= alpha(p-1) + 1.  The bound is
-
-        [ max{(T-t)^(p/2), 2^(p/2) Gamma((p+1)/2)/sqrt(pi)}
-          * (T-t)^(p/2) Gamma(alpha(p-1) - p/2 + 1)
-            / ((1-alpha)^(p-1) (p/2)^(alpha(p-1) - p/2 + 1)) ]^(j+1)
-        * [ e^(p/2) (pj/2 + 1) ]^(1/(2p))
-        * [ Gamma(2/p) / Gamma(1 + j + 2/p) ]^(alpha(p-1) - p/2 + 1).
-
-    The per-step bracket carries Gamma(alpha(p-1) - p/2 + 1): replacing it
-    by Gamma(p/2) would fail for small p (at p = 2, alpha = 1/2 the
-    gradient-coordinate moment is exactly (T-t)/(alpha(1-alpha)), above the
-    weakened expression), so this is the sharp defensible constant.
-    """
-    if j < 0:
-        raise HypothesisViolated(f"j must be >= 0, got {j}")
-    if not p > 1.0:
-        raise HypothesisViolated(f"p must exceed 1, got {p}")
-    if not 0.0 < alpha < 1.0:
-        raise HypothesisViolated(f"alpha must lie in (0, 1), got {alpha}")
-    if not t < horizon:
-        raise HypothesisViolated(f"need t < horizon, got t={t}, T={horizon}")
-    ap = alpha * (p - 1.0) - p / 2.0 + 1.0
-    if not 0.0 <= ap <= 1.0:
-        raise HypothesisViolated(
-            f"need alpha(p-1) <= p/2 <= alpha(p-1)+1; "
-            f"got alpha(p-1)={alpha * (p - 1.0)}, p/2={p / 2.0}")
-    tau = horizon - t
-    log_gauss = max(
-        (p / 2.0) * math.log(tau),
-        (p / 2.0) * math.log(2.0) + gammaln((p + 1.0) / 2.0) - 0.5 * math.log(math.pi),
-    )
-    if ap == 0.0:
-        # Gamma(0) = inf: the bound is vacuous exactly at p/2 = alpha(p-1)+1.
-        return math.inf
-    log_step = (
-        (p / 2.0) * math.log(tau)
-        + gammaln(ap)
-        - (p - 1.0) * math.log1p(-alpha)
-        - ap * math.log(p / 2.0)
-    )
-    lg = (j + 1) * (log_gauss + log_step)
-    lg += (p / 2.0 + math.log(p * j / 2.0 + 1.0)) / (2.0 * p)
-    lg += ap * (gammaln(2.0 / p) - gammaln(1.0 + j + 2.0 / p))
-    return math.exp(lg)

@@ -157,8 +157,11 @@ def stream_uniforms(
 
     The one-row case of :func:`block_uniforms`: word i is
     ``mix64(key + i * gamma)`` for the path's key (see the module
-    docstring).
+    docstring).  A ``root_seed`` that is not an integer within int64 raises
+    ``ValueError``: conversion would truncate 1.5 to 1.
     """
+    if not is_int64(root_seed):
+        raise ValueError(f"root_seed={root_seed!r} is not an int64 integer")
     if n < 0:
         raise ValueError("draw count must be nonnegative")
     return _to_uniform(_words(root_seed, path_array(path, "path"), n))[0]

@@ -74,6 +74,16 @@ def test_cost_overflow_guard():
         cost_bound_closed(1, 60, 10)
 
 
+def test_cost_overflow_stops_at_first_depth_past_limit():
+    # RV(1, n, 1) first exceeds 2**127 - 1 at n = 100: every deeper n
+    # raises there, at once, instead of building its O(n**2) table.
+    assert cost_rv(1, 99, 1) <= 2**127 - 1
+    for n in (100, 2000):
+        with pytest.raises(Overflow,
+                           match=rf"depth {n} exceeds .*\(depth 100 "):
+            cost_rv(1, n, 1)
+
+
 def test_cost_input_validation():
     for bad in ((0, 1, 1), (1, -1, 1), (1, 1, 0)):
         with pytest.raises(ValueError):

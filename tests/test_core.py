@@ -15,7 +15,7 @@ from mlpicard import (
     evaluate,
     to_canonical,
 )
-from mlpicard.core import check_problem, forward_problem, validate_problem
+from mlpicard.core import check_problem, validate_problem
 
 
 def make_problem(**overrides):
@@ -141,13 +141,14 @@ def test_time_map_round_trip():
 
 
 def test_forward_problem_maps_to_doubled_horizon():
-    fwd = forward_problem(
+    fwd = PdeProblem(
         dimension=2,
         horizon=1.0,
-        initial_data=lambda x: np.sin(x).mean(axis=1),
-        nonlinearity_yz=lambda y, z: y + z.sum(axis=1),
+        terminal_data=lambda x: np.sin(x).mean(axis=1),
+        nonlinearity=lambda t, x, y, z: y + z.sum(axis=1),
         lipschitz_solution=(1.0, 1.0, 1.0),
         lipschitz_space=(1.0, 1.0),
+        convention=Convention.FORWARD_FULL_LAPLACIAN,
     )
     assert fwd.convention is Convention.FORWARD_FULL_LAPLACIAN
     canonical, tmap = to_canonical(fwd)
@@ -170,16 +171,8 @@ def test_canonical_nonlinearity_is_halved_and_time_mapped():
     def fwd_f(t, x, y, z):
         return (1.0 + t) * y
 
-    fwd = forward_problem(
-        dimension=1,
-        horizon=1.0,
-        initial_data=lambda x: x.sum(axis=1),
-        nonlinearity_yz=lambda y, z: y,
-        lipschitz_solution=(1.0, 0.0),
-        lipschitz_space=(1.0,),
-    )
     fwd = PdeProblem(
-        dimension=1, horizon=1.0, terminal_data=fwd.terminal_data,
+        dimension=1, horizon=1.0, terminal_data=lambda x: x.sum(axis=1),
         nonlinearity=fwd_f, lipschitz_solution=(2.0, 0.0),
         lipschitz_space=(1.0,), convention=Convention.FORWARD_FULL_LAPLACIAN)
     canonical, _ = to_canonical(fwd)
@@ -190,23 +183,6 @@ def test_canonical_nonlinearity_is_halved_and_time_mapped():
     # canonical f(s, .) = f_forward(T - s/2, .) / 2 with T = 1.
     expected = (1.0 + (1.0 - 0.25)) * 2.0 / 2.0
     assert canonical.nonlinearity(s, x, y, z)[0] == pytest.approx(expected)
-
-
-def test_forward_problem_lifts_autonomous_nonlinearity():
-    fwd = forward_problem(
-        dimension=2,
-        horizon=0.5,
-        initial_data=lambda x: x.sum(axis=1),
-        nonlinearity_yz=lambda y, z: y - z.mean(axis=1),
-        lipschitz_solution=(1.0, 0.5, 0.5),
-        lipschitz_space=(1.0, 1.0),
-    )
-    t = np.array([0.1, 0.4])
-    x = np.zeros((2, 2))
-    y = np.array([1.0, 2.0])
-    z = np.array([[2.0, 4.0], [0.0, 0.0]])
-    out = fwd.nonlinearity(t, x, y, z)
-    assert np.allclose(out, [1.0 - 3.0, 2.0])
 
 
 def test_audit_accepts_honest_constants():

@@ -19,6 +19,7 @@ from mlpicard import (
     InvalidConvention,
     InvalidProblem,
     MlpConfig,
+    Overflow,
     PdeProblem,
     QueryAtTerminalTime,
     builtin_case,
@@ -216,6 +217,49 @@ def test_small_time_exponent_gives_finite_estimates():
         assert np.all(np.isfinite(est.gradient))
 
 
+def test_sample_time_rounded_onto_horizon_gives_finite_estimate():
+    # One float below T, a level-1 sample time s = t + (T - t) r rounds onto
+    # T, so the child node there has T - s = 0; its terminal score
+    # Z / sqrt(T - s) takes its limit 0 (the exact field there is (g, 0))
+    # instead of handing f a 0/0 NaN at stream path (0, 1, 1).
+    config = MlpConfig(depth=2, base=2, root_seed=3, time_cdf_exponent=0.5)
+    with np.errstate(all="raise", under="ignore"):
+        est = evaluate(_sine_problem(2), config, math.nextafter(1.0, 0.0),
+                       np.array([0.3, 0.3]))
+    assert math.isfinite(est.value)
+    assert np.all(np.isfinite(est.gradient))
+    assert est.draws == cost_rv(2, 2, 2)
+
+
+@lru_cache(maxsize=None)
+def _canonical_case(name, d):
+    return to_canonical(builtin_case(name, dimension=d).problem)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(BUILTIN_CASES), d=st.integers(1, 3),
+       t=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                   st.integers(1, 64).map(lambda k: 1.0 - k * 2.0**-53)),
+       e=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       x=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+       n=st.integers(0, 3), base=st.integers(1, 3),
+       seed=st.integers(-2**63, 2**63 - 1))
+def test_admissible_queries_give_finite_estimates(name, d, t, e, x, n, base,
+                                                  seed):
+    # Every builtin case has canonical horizon 1.  No division by zero, no
+    # overflow and no invalid operation anywhere in the recursion, up to
+    # the last floats below the horizon.  Underflow is no error: r =
+    # u**(1/e) underflows to 0 for small e, and the engine takes the limit.
+    problem = _canonical_case(name, d)
+    assert problem.horizon == 1.0
+    config = MlpConfig(depth=n, base=base, root_seed=seed,
+                       time_cdf_exponent=e)
+    with np.errstate(all="raise", under="ignore"):
+        est = evaluate(problem, config, t, np.array(x[:d]))
+    assert math.isfinite(est.value)
+    assert np.all(np.isfinite(est.gradient))
+
+
 def test_misshapen_callback_output_rejected():
     # An f returning (m, 1) would broadcast the (m,) time weight to (m, m).
     prob = replace(linear_problem(),
@@ -331,6 +375,14 @@ def test_cost_guard_blocks_oversized_runs(monkeypatch):
     # An explicit budget argument outranks the environment variable.
     est = evaluate(prob, config, 0.0, np.array([0.0]), budget=28)
     assert est.draws == 28
+
+
+def test_overflowing_depth_fails_at_once():
+    # cost_rv stops at the first depth past 128-bit accounting, so a huge
+    # depth is refused without building its cost table.
+    with pytest.raises(Overflow, match="depth 100 already costs"):
+        evaluate(linear_problem(), MlpConfig(depth=2000, base=1), 0.0,
+                 np.array([0.0]))
 
 
 def test_resolve_budget_precedence(monkeypatch):

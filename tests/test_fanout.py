@@ -107,36 +107,63 @@ def _replay(seed, theta, t, x, horizon, e, pairs):
     return t[0], x[0]
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_fanout_error_names_the_one_thread_row(monkeypatch, workers):
-    # f fails at one deep row: sample 2 of the level-1 block of the node
-    # reached by (4, 3) then (2, 1), inside the largest child group, which
-    # three workers split (nodes 0-1 and 2-4).  The error under fan-out is
-    # the one-thread error, and its stream path replays the row.
+@pytest.mark.parametrize("case, workers", [
+    pytest.param("deep-f", 2, id="2"),
+    pytest.param("deep-f", 3, id="3"),
+    pytest.param("root-g", 2, id="root-g-2"),
+    pytest.param("root-g", 3, id="root-g-3"),
+    pytest.param("two-rows", 2, id="two-rows-2"),
+    pytest.param("two-rows", 3, id="two-rows-3"),
+])
+def test_fanout_error_names_the_one_thread_row(monkeypatch, case, workers):
+    # deep-f: f fails at one deep row: sample 2 of the level-1 block of the
+    # node reached by (4, 3) then (2, 1), inside the largest child group,
+    # which three workers split (nodes 0-1 and 2-4).
+    # root-g: g fails at the root's terminal sample 3, on the calling
+    # thread while the other jobs run.
+    # two-rows: f fails at the deep row and at the root's level-1 sample 2;
+    # a one-thread run calls f on the root's level-1 block after every
+    # child group, so it names the deep row.
+    # The error under fan-out is the one-thread error, its stream path
+    # replays the row, and no worker thread outlives the call.
     d, seed, theta = 3, 5, (0,)
     problem, config = _sine(d), MlpConfig(depth=5, base=5, root_seed=seed)
     x0 = np.linspace(-0.4, 0.6, d)
-    pairs = ((4, 3), (2, 1), (1, 2))
-    s_bad, x_bad = _replay(seed, theta, 0.25, x0, problem.horizon,
-                           config.time_cdf_exponent, pairs)
-    f = problem.nonlinearity
+    deep = ((4, 3), (2, 1), (1, 2))
+    g, f = problem.terminal_data, problem.nonlinearity
+    if case == "root-g":
+        x_bad = x0 + np.sqrt(problem.horizon - 0.25) * ndtri(
+            stream_uniforms(seed, theta + (0, -3), d))
+        problem = replace(problem, terminal_data=lambda x: np.where(
+            np.all(x == x_bad, axis=1), np.nan, g(x)))
+        expected = theta + (0, -3)
+    else:
+        bad = [_replay(seed, theta, 0.25, x0, problem.horizon,
+                       config.time_cdf_exponent, pairs)
+               for pairs in ([deep] if case == "deep-f"
+                             else [deep, ((1, 2),)])]
 
-    def faulty(t, x, y, z):
-        hit = (t == s_bad) & np.all(x == x_bad, axis=1)
-        return np.where(hit, np.nan, f(t, x, y, z))
+        def faulty(t, x, y, z):
+            hit = np.zeros(len(t), dtype=bool)
+            for s_bad, x_bad in bad:
+                hit |= (t == s_bad) & np.all(x == x_bad, axis=1)
+            return np.where(hit, np.nan, f(t, x, y, z))
 
-    problem = replace(problem, nonlinearity=faulty)
+        problem = replace(problem, nonlinearity=faulty)
+        expected = theta + sum(deep, ())
+    threads = set(threading.enumerate())
     messages = []
     for count in (1, workers):
         monkeypatch.setattr(engine, "_workers", lambda: count)
         with pytest.raises(CallbackContractError) as excinfo:
             evaluate(problem, config, 0.25, x0, theta=theta)
         messages.append(str(excinfo.value))
+        assert set(threading.enumerate()) == threads
     assert messages[1] == messages[0]
     named = re.search(r"stream path \(([-\d, ]+)\)", messages[0]).group(1)
-    path = tuple(int(v) for v in named.split(","))
-    assert path == theta + sum(pairs, ())
-    assert messages[0].startswith("f returned non-finite value nan")
+    assert tuple(int(v) for v in named.split(",")) == expected
+    callback = "g" if case == "root-g" else "f"
+    assert messages[0].startswith(f"{callback} returned non-finite value nan")
 
 
 def test_plan_cuts_nodes_into_balanced_jobs():

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and the public
-surface is the one the README documents.
+"""Source hygiene: no module imports a name it never uses, no private
+helper of the package is left without a caller, and the public surface is
+the one the README documents.
 
 No linter is configured for the project, so this scans the package and the
 test modules with the standard library's ``ast``.  ``from __future__``
@@ -60,6 +61,43 @@ def test_no_unused_imports():
              for path in SOURCES
              if (unused := unused_imports(path.read_text()))}
     assert found == {}
+
+
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes of ``sources`` (module
+    name -> source) that no code in any of them references outside the
+    helper's own definition."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            if not any(id(ref) not in own and node.name in (
+                    getattr(ref, "id", None), getattr(ref, "attr", None),
+                    getattr(ref, "name", None))
+                    for other in trees.values() for ref in ast.walk(other)
+                    if isinstance(ref, (ast.Name, ast.Attribute, ast.alias))):
+                dead.append(f"{module}.{node.name}")
+    return dead
+
+
+def test_dead_helper_scanner_flags_only_uncalled_helpers():
+    sources = {"a": ("def _used(n):\n    return _used(n - 1) if n else 0\n"
+                     "def _self_only(n):\n    return _self_only(n - 1)\n"
+                     "class _Unused:\n    pass\n"
+                     "def __getattr__(name):\n    return name\n"),
+               "b": "from a import _used\n"}
+    assert dead_private_helpers(sources) == ["a._self_only", "a._Unused"]
+
+
+def test_no_dead_private_helpers():
+    package = ROOT / "src" / "mlpicard"
+    assert dead_private_helpers({path.stem: path.read_text()
+                                 for path in package.glob("*.py")}) == []
 
 
 # The README's functions for library use, and the classes and exceptions

@@ -14,7 +14,6 @@ from mlpicard.integrals import (
     iterated_integral_lower_bound,
     iterated_integral_quadrature,
     iterated_integral_upper_bound,
-    product_moment_bound,
 )
 
 GRID = [
@@ -175,59 +174,3 @@ def test_deep_nesting_stays_finite():
     quad = iterated_integral_quadrature(spec(25, 0.5, 1.0, 1.0))
     assert quad == pytest.approx(
         iterated_integral_closed(spec(25, 0.5, 1.0, 1.0)), rel=1e-5)
-
-
-def test_product_moment_hypothesis_errors():
-    with pytest.raises(HypothesisViolated):
-        product_moment_bound(0, 1.0, 0.5, 1.0)  # p must exceed 1
-    with pytest.raises(HypothesisViolated):
-        product_moment_bound(0, 4.0, 0.99, 1.0)  # alpha(p-1) > p/2
-    with pytest.raises(HypothesisViolated):
-        product_moment_bound(0, 4.0, 0.1, 1.0)  # p/2 > alpha(p-1) + 1
-    with pytest.raises(HypothesisViolated):
-        product_moment_bound(-1, 2.0, 0.5, 1.0)
-    with pytest.raises(HypothesisViolated):
-        product_moment_bound(0, 2.0, 0.5, 1.0, t=1.0)
-
-
-def test_product_moment_vacuous_at_gamma_pole():
-    # At p/2 = alpha(p-1) + 1 the constant carries Gamma(0): the bound is
-    # declared infinite rather than silently wrong.
-    assert product_moment_bound(0, 4.0, 1.0 / 3.0, 1.0) == math.inf
-
-
-def test_product_moment_bound_dominates_simulated_moments():
-    # Direct simulation of the weighted chain product at p = 2, alpha = 1/2
-    # (sampler exponent e = 1 - alpha = 1/2, so r = u^2 and the weight is
-    # (T - S_i) r^(1/2) / e).  For the gradient coordinate each factor is
-    # 2 sqrt(T - S_i) Z_i, so at j = 0 the second moment is exactly the
-    # depth-1 iterated integral value 4.
-    rng = np.random.default_rng(1234)
-    n = 100_000
-    bound0 = product_moment_bound(0, 2.0, 0.5, 1.0)
-    r1 = rng.uniform(size=n) ** 2
-    z1 = rng.standard_normal(n)
-    factor0 = 2.0 * z1  # 2 sqrt(1 - 0) Z
-    mc0 = np.mean(factor0**2)
-    closed1 = iterated_integral_closed(spec(1, 0.5, 1.0, 1.0))
-    sigma0 = 3.0 * math.sqrt(32.0 / n)
-    assert abs(mc0 - closed1) < sigma0
-    assert mc0 <= bound0
-
-    # Two factors (j = 1): S1 = r1, second factor 2 sqrt(1 - S1) Z2.
-    bound1 = product_moment_bound(1, 2.0, 0.5, 1.0)
-    z2 = rng.standard_normal(n)
-    product = factor0 * 2.0 * np.sqrt(1.0 - r1) * z2
-    mc1 = np.mean(product**2)
-    assert mc1 == pytest.approx(16.0 * (1.0 - 1.0 / 3.0), rel=0.05)
-    assert mc1 <= bound1
-
-
-def test_product_moment_bound_value_coordinate():
-    # The value coordinate's factor is the bare weight 2 sqrt(r (T - S_i));
-    # its second moment 4 E[r] = 4/3 must also sit below the p = 2 bound.
-    rng = np.random.default_rng(99)
-    r = rng.uniform(size=50_000) ** 2
-    mc = np.mean((2.0 * np.sqrt(r)) ** 2)
-    assert mc == pytest.approx(4.0 / 3.0, rel=0.02)
-    assert mc <= product_moment_bound(0, 2.0, 0.5, 1.0)

@@ -109,6 +109,15 @@ def test_non_integer_path_entries_rejected(path):
         stream_uniforms(3, path, 4)
 
 
+@pytest.mark.parametrize("seed", [1.5, np.float64(1.0), True, 2**63,
+                                  -2**63 - 1])
+def test_non_integer_root_seed_rejected(seed):
+    # int64 conversion would truncate 1.5 to 1, so two seeds would share
+    # every stream.
+    with pytest.raises(ValueError, match="root_seed"):
+        stream_uniforms(seed, (1,), 4)
+
+
 def test_numpy_integer_path_entries_accepted():
     assert np.array_equal(stream_uniforms(3, (np.int64(1), np.uint8(2)), 4),
                           stream_uniforms(3, (1, 2), 4))
