@@ -7,8 +7,8 @@ solution verification harness.  See the README for a quickstart.
 
 The top level exports the functions the README documents for library use
 and the classes and exceptions they take, return or raise; every other
-name is imported from its submodule (``mlpicard.harness``,
-``mlpicard.integrals``, ...).
+name is imported from its submodule (``mlpicard.cases``,
+``mlpicard.harness``, ``mlpicard.integrals``, ...).
 """
 
 from .bounds import (
@@ -44,12 +44,14 @@ from .engine import (
     replicate,
     rmse,
 )
-from .harness import (
+from .cases import (
     BenchmarkCase,
-    ConvergenceRow,
     ResidualCheckFailed,
     UnknownCase,
     builtin_case,
+)
+from .harness import (
+    ConvergenceRow,
     combined_error_ucl,
     run_convergence,
     write_csv,

@@ -25,12 +25,14 @@ from .bounds import (
 )
 from .core import InvalidProblem, MlpConfig, to_canonical
 from .engine import DepthCostGuard, QueryAtTerminalTime, replicate, rmse
-from .harness import (
+from .cases import (
     BUILTIN_CASES,
     BenchmarkCase,
     UnknownCase,
     builtin_case,
     load_case_file,
+)
+from .harness import (
     run_convergence,
     run_test_battery,
     verify_integral_identities,

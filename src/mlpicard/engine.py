@@ -185,6 +185,9 @@ def evaluate(
     on one: ``g`` and ``f`` may then be called at the same time from
     several threads, on disjoint rows.  Pure array functions, such as the
     builtin cases, are safe; a callback that changes shared state is not.
+
+    Callbacks run under the caller's numpy error state with underflow
+    ignored: u**(1/e) underflows to 0 for small e, where the limit is taken.
     """
     validate_problem(problem, config)
     if problem.convention is not Convention.BACKWARD_HALF_LAPLACIAN:
@@ -213,8 +216,11 @@ def evaluate(
 
     ledger = DrawLedger()
     workers = _workers() if predicted >= FANOUT_MIN_DRAWS else 1
-    vec = _batch(problem, config, config.depth, paths,
-                 np.array([t], dtype=float), x[None, :], ledger, workers)[0]
+    # Fan-out jobs inherit the errstate through copy_context.
+    with np.errstate(under="ignore"):
+        vec = _batch(problem, config, config.depth, paths,
+                     np.array([t], dtype=float), x[None, :], ledger,
+                     workers)[0]
     return FieldEstimate(
         value=float(vec[0]), gradient=vec[1:].copy(), draws=ledger.scalar_draws
     )

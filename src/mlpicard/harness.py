@@ -1,20 +1,18 @@
-"""Benchmark problems with exact solutions, convergence studies, and checks.
+"""Convergence studies and the statistical test battery.
 
-Four builtin cases cover the feature matrix (pure terminal data, value-only
-nonlinearity, gradient-dependent nonlinearity, forward convention), each
-carrying its manufactured exact solution, exact moment norms for the error
-bound, and a finite-difference residual check run at construction so a typo
-in either the PDE data or the claimed solution cannot slip through.
-
-On top of the cases sit :func:`run_convergence` (replicated error tables
-with an a-priori bound column, CSV output with a fixed schema) and
-:func:`run_test_battery` (sampler law tests, integral identity grid,
-a Feynman-Kac unbiasedness ladder, cost-ledger equality, and convergence
-trends on all cases, aggregated into a structured pass/fail report).
+:func:`run_convergence` turns replicated estimates of a builtin case (see
+:mod:`mlpicard.cases`) into error tables with an a-priori bound column,
+written by :func:`write_csv` under a fixed CSV schema.
+:func:`unbiasedness_gap` compares the estimator's mean with an independent
+direct simulation of its defining expectation, and
+:func:`verify_integral_identities` checks the iterated-integral closed forms
+against quadrature.  The ``check_*`` functions turn these, the sampler laws
+and the cost ledger into pass/fail entries, which :func:`run_test_battery`
+aggregates into one report.
 
 ``scipy.stats`` is imported inside :func:`check_sampler_laws`, the one
-function that runs a KS test, so the cases and :func:`run_convergence`
-do not pay for loading it.
+function that runs a KS test, so :func:`run_convergence` does not pay for
+loading it.
 """
 
 from __future__ import annotations
@@ -23,24 +21,13 @@ import csv
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bounds import (
-    ErrorBoundInput,
-    RegularityData,
-    cost_bound_closed,
-    cost_rv,
-    error_bound,
-)
-from .core import (
-    Convention,
-    FieldEstimate,
-    MlpConfig,
-    PdeProblem,
-    to_canonical,
-)
+from .bounds import ErrorBoundInput, cost_bound_closed, cost_rv, error_bound
+from .cases import BUILTIN_CASES, BenchmarkCase, builtin_case
+from .core import FieldEstimate, MlpConfig, PdeProblem, to_canonical
 from .engine import EmptySample, evaluate, replicate, rmse
 from .integrals import (
     HypothesisViolated,
@@ -53,13 +40,6 @@ from .integrals import (
 from .sampler import single_step_second_moment, stream_uniforms
 
 __all__ = [
-    "BenchmarkCase",
-    "ResidualCheckFailed",
-    "UnknownCase",
-    "BUILTIN_CASES",
-    "builtin_case",
-    "load_case_file",
-    "default_eval_points",
     "ConvergenceRow",
     "CSV_COLUMNS",
     "run_convergence",
@@ -77,372 +57,8 @@ __all__ = [
     "run_test_battery",
 ]
 
-RESIDUAL_GATE = 1e-6
-DEFAULT_LAMBDA = 0.25
-DEFAULT_COEFF = 0.5
-
 # KS two-sided critical value at the 1% level is about 1.628 / sqrt(n).
 KS_CRITICAL_1PCT = 1.628
-
-
-class ResidualCheckFailed(ValueError):
-    """Claimed exact solution does not satisfy the case's PDE."""
-
-
-class UnknownCase(KeyError):
-    """No builtin benchmark case under the requested name."""
-
-
-@dataclass(frozen=True)
-class BenchmarkCase:
-    """A PDE problem bundled with its manufactured exact solution.
-
-    ``exact(t, x)`` returns (value, gradient) in the problem's own
-    convention and clock.  ``norm_overrides`` holds the exact moment norms
-    of the *canonical form* of the problem for the error bound;
-    ``u_moment_override`` is the exact bound on
-    sup_s max_i ||u_i(s, x + W_s - W_t)||_{L^q} over the standard
-    evaluation points.
-    """
-
-    name: str
-    problem: PdeProblem
-    exact: Callable[[float, np.ndarray], tuple[float, np.ndarray]]
-    norm_overrides: RegularityData | None = None
-    u_moment_override: float | None = None
-
-
-def default_eval_points(dimension: int) -> list[np.ndarray]:
-    """The two standard query points: the origin and (1,...,1)/sqrt(d).
-
-    The second point breaks coordinate symmetry so that bugs masked by
-    even/odd cancellation at the origin still surface.
-    """
-    return [
-        np.zeros(dimension),
-        np.full(dimension, 1.0 / math.sqrt(dimension)),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Builtin cases
-# ---------------------------------------------------------------------------
-
-
-def _quadratic_case(dimension: int, horizon: float) -> BenchmarkCase:
-    # g(x) = |x|^2, f = 0; u(t, x) = |x|^2 + d (T - t), grad u = 2x.
-    d = dimension
-    T = horizon
-
-    def g(x):
-        return (x**2).sum(axis=1)
-
-    def f(t, x, y, z):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def exact(t, x, _d=d, _T=T):
-        x = np.asarray(x, dtype=float)
-        return float(x @ x) + _d * (_T - t), 2.0 * x
-
-    # g is only locally Lipschitz; these constants cover the ball the
-    # estimator actually visits from the standard points (|xi_i| <= 1 plus
-    # three standard deviations of the driving noise).
-    k_eff = 2.0 * (1.0 + 3.0 * math.sqrt(T))
-    # Exact L4 norm of g along the path from xi: with s = T and
-    # noncentrality lam = |xi|^2 / s <= 1/T, the fourth raw moment of the
-    # noncentral chi-square gives ||g||_L4 = s * m4(d, lam)^(1/4), which is
-    # increasing in s and in |xi|.
-    lam_nc = 1.0 / T
-    m4 = (
-        (d + lam_nc) ** 4
-        + 12.0 * (d + lam_nc) ** 2 * (d + 2.0 * lam_nc)
-        + 12.0 * (d + 2.0 * lam_nc) ** 2
-        + 32.0 * (d + lam_nc) * (d + 3.0 * lam_nc)
-        + 48.0 * (d + 4.0 * lam_nc)
-    )
-    g_moment = T * m4**0.25
-    grad_norm = 2.0 * (1.0 + 3.0**0.25 * math.sqrt(T))
-    reg = RegularityData(
-        l0=0.0,
-        l=(0.0,) * d,
-        frak_l=(0.0,) * d,
-        k=(k_eff,) * d,
-        g_moment=g_moment,
-        f0_moment=0.0,
-        q=4.0,
-    )
-    problem = PdeProblem(
-        dimension=d,
-        horizon=T,
-        terminal_data=g,
-        nonlinearity=f,
-        lipschitz_solution=(0.0,) * (d + 1),
-        lipschitz_space=(k_eff,) * d,
-    )
-    return BenchmarkCase(
-        name="linear-heat-quadratic",
-        problem=problem,
-        exact=exact,
-        norm_overrides=reg,
-        u_moment_override=max(g_moment + d * T, grad_norm),
-    )
-
-
-def _sine_fields(dimension: int, horizon: float, lam: float):
-    """g, exact for u(t, x) = e^(lam (T - t)) mean_i sin(x_i)."""
-
-    def g(x):
-        return np.sin(x).mean(axis=1)
-
-    def exact(t, x, _lam=lam, _T=horizon, _d=dimension):
-        x = np.asarray(x, dtype=float)
-        amp = math.exp(_lam * (_T - t))
-        return amp * float(np.mean(np.sin(x))), amp * np.cos(x) / _d
-
-    return g, exact
-
-
-def _exponential_case(dimension: int, horizon: float, lam: float) -> BenchmarkCase:
-    # f(t, x, y, z) = (lam + 1/2) y; u as in _sine_fields.
-    d = dimension
-    g, exact = _sine_fields(d, horizon, lam)
-
-    def f(t, x, y, z, _lam=lam):
-        return (_lam + 0.5) * y
-
-    reg = RegularityData(
-        l0=lam + 0.5,
-        l=(0.0,) * d,
-        frak_l=(0.0,) * d,
-        k=(1.0 / d,) * d,
-        g_moment=1.0,
-        f0_moment=0.0,
-        q=4.0,
-    )
-    problem = PdeProblem(
-        dimension=d,
-        horizon=horizon,
-        terminal_data=g,
-        nonlinearity=f,
-        lipschitz_solution=(lam + 0.5,) + (0.0,) * d,
-        lipschitz_space=(1.0 / d,) * d,
-    )
-    return BenchmarkCase(
-        name="grad-free-exponential",
-        problem=problem,
-        exact=exact,
-        norm_overrides=reg,
-        u_moment_override=math.exp(lam * horizon),
-    )
-
-
-def _sine_nonlinearity(dimension: int, horizon: float, lam: float, c: float):
-    def f(t, x, y, z, _lam=lam, _c=c, _T=horizon, _d=dimension):
-        trig = np.exp(_lam * (_T - np.asarray(t, dtype=float)))
-        return (_lam + 0.5) * y + _c * (
-            z.sum(axis=1) - trig * np.cos(x).mean(axis=1)
-        )
-
-    return f
-
-
-def _gradient_case(
-    dimension: int, horizon: float, lam: float, c: float
-) -> BenchmarkCase:
-    # Same u as the exponential case; the extra c (sum_i z_i - sum_i du/dx_i)
-    # term vanishes at the true solution but forces the estimator to carry
-    # correct gradients through the recursion.
-    d = dimension
-    g, exact = _sine_fields(d, horizon, lam)
-    f = _sine_nonlinearity(d, horizon, lam, c)
-    reg = RegularityData(
-        l0=lam + 0.5,
-        l=(c,) * d,
-        frak_l=(c * math.exp(lam * horizon) / d,) * d,
-        k=((abs(lam) + 1.0) / d,) * d,
-        g_moment=1.0,
-        f0_moment=c * math.exp(lam * horizon),
-        q=4.0,
-    )
-    problem = PdeProblem(
-        dimension=d,
-        horizon=horizon,
-        terminal_data=g,
-        nonlinearity=f,
-        lipschitz_solution=(lam + 0.5,) + (c,) * d,
-        lipschitz_space=((abs(lam) + 1.0) / d,) * d,
-    )
-    return BenchmarkCase(
-        name="grad-dependent-sine",
-        problem=problem,
-        exact=exact,
-        norm_overrides=reg,
-        u_moment_override=math.exp(lam * horizon),
-    )
-
-
-def _forward_case(
-    dimension: int, forward_horizon: float, lam: float, c: float
-) -> BenchmarkCase:
-    # The gradient case rewritten in the forward convention on horizon
-    # T_f: w(t, x) = u(2 (T_f - t), x) solves dw/dt = Lap w + f4(t,x,w,grad w)
-    # with f4(t, ...) = 2 f3(2 (T_f - t), ...), where u and f3 are the
-    # canonical fields on horizon 2 T_f.  Doubling/halving is exact in
-    # floating point, so the canonical form of this case reproduces the
-    # gradient case's nonlinearity up to at most one ulp in the time
-    # argument.
-    d = dimension
-    tf = forward_horizon
-    canonical_horizon = 2.0 * tf
-    g, exact_canonical = _sine_fields(d, canonical_horizon, lam)
-    f3 = _sine_nonlinearity(d, canonical_horizon, lam, c)
-
-    def f4(t, x, y, z, _tf=tf):
-        return 2.0 * f3(2.0 * (_tf - np.asarray(t, dtype=float)), x, y, z)
-
-    def exact(t, x, _tf=tf):
-        return exact_canonical(2.0 * (_tf - t), x)
-
-    # Norms are stated for the canonical form (horizon 2 T_f), which is
-    # exactly the gradient case's data.
-    reg = RegularityData(
-        l0=lam + 0.5,
-        l=(c,) * d,
-        frak_l=(c * math.exp(lam * canonical_horizon) / d,) * d,
-        k=((abs(lam) + 1.0) / d,) * d,
-        g_moment=1.0,
-        f0_moment=c * math.exp(lam * canonical_horizon),
-        q=4.0,
-    )
-    problem = PdeProblem(
-        dimension=d,
-        horizon=tf,
-        terminal_data=g,
-        nonlinearity=f4,
-        lipschitz_solution=(2.0 * (lam + 0.5),) + (2.0 * c,) * d,
-        lipschitz_space=(2.0 * (abs(lam) + 1.0) / d,) * d,
-        convention=Convention.FORWARD_FULL_LAPLACIAN,
-    )
-    return BenchmarkCase(
-        name="forward-heat",
-        problem=problem,
-        exact=exact,
-        norm_overrides=reg,
-        u_moment_override=math.exp(lam * canonical_horizon),
-    )
-
-
-BUILTIN_CASES = (
-    "linear-heat-quadratic",
-    "grad-free-exponential",
-    "grad-dependent-sine",
-    "forward-heat",
-)
-
-
-def registration_residual(case: BenchmarkCase) -> float:
-    """Max finite-difference PDE residual of the claimed exact solution.
-
-    Backward cases check |d_t u + (1/2) Lap u + f(t, x, u, grad u)|, forward
-    cases |d_t w - Lap w - f(t, x, w, grad w)|, on a fixed random grid of
-    25 points (t, x).  The time derivative is a central difference, step
-    1e-4, of the exact value; the Laplacian is a central difference of the
-    exact (analytic) gradient, so the check is sensitive to errors in the
-    gradient as well.
-    """
-    h = 1e-4
-    rng = np.random.default_rng(12345)
-    prob = case.problem
-    d = prob.dimension
-    T = prob.horizon
-    ts = rng.uniform(h, T - h, size=25)
-    xs = rng.uniform(-2.0, 2.0, size=(25, d))
-    worst = 0.0
-    eye = np.eye(d)
-    forward = prob.convention is Convention.FORWARD_FULL_LAPLACIAN
-    for t, x in zip(ts, xs):
-        value, grad = case.exact(t, x)
-        dt = (case.exact(t + h, x)[0] - case.exact(t - h, x)[0]) / (2.0 * h)
-        lap = sum(
-            (case.exact(t, x + h * eye[i])[1][i]
-             - case.exact(t, x - h * eye[i])[1][i]) / (2.0 * h)
-            for i in range(d)
-        )
-        fv = float(prob.nonlinearity(
-            np.array([t]), x[None, :], np.array([value]), grad[None, :])[0])
-        if forward:
-            residual = dt - lap - fv
-        else:
-            residual = dt + 0.5 * lap + fv
-        worst = max(worst, abs(residual))
-    return worst
-
-
-def builtin_case(
-    name: str,
-    dimension: int = 1,
-    horizon: float | None = None,
-    lam: float = DEFAULT_LAMBDA,
-    c: float = DEFAULT_COEFF,
-) -> BenchmarkCase:
-    """Construct a builtin case and run its registration residual check.
-
-    ``horizon`` defaults to 1.0, except for the forward case where it is the
-    forward horizon and defaults to 0.5 (so the canonical horizon is 1.0).
-    Raises :class:`ResidualCheckFailed` if the claimed solution misses the
-    PDE by more than the finite-difference gate.
-    """
-    if name == "linear-heat-quadratic":
-        case = _quadratic_case(dimension, 1.0 if horizon is None else horizon)
-    elif name == "grad-free-exponential":
-        case = _exponential_case(
-            dimension, 1.0 if horizon is None else horizon, lam)
-    elif name == "grad-dependent-sine":
-        case = _gradient_case(
-            dimension, 1.0 if horizon is None else horizon, lam, c)
-    elif name == "forward-heat":
-        case = _forward_case(
-            dimension, 0.5 if horizon is None else horizon, lam, c)
-    else:
-        raise UnknownCase(
-            f"unknown case {name!r}; builtin cases: {', '.join(BUILTIN_CASES)}")
-    worst = registration_residual(case)
-    if not worst < RESIDUAL_GATE:
-        raise ResidualCheckFailed(
-            f"case {name}: max PDE residual {worst:.3e} >= {RESIDUAL_GATE}")
-    return case
-
-
-def load_case_file(path: str) -> BenchmarkCase:
-    """Build a builtin case from a key=value text file.
-
-    Recognized keys: ``case`` (required), ``dimension``, ``horizon``,
-    ``lambda``, ``c``.  Lines starting with ``#`` and blank lines are
-    ignored.
-    """
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    known = {"case", "dimension", "horizon", "lambda", "c"}
-    unknown = set(values) - known
-    if unknown:
-        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-    if "case" not in values:
-        raise ValueError(f"{path}: missing required key 'case'")
-    return builtin_case(
-        values["case"],
-        dimension=int(values.get("dimension", "1")),
-        horizon=float(values["horizon"]) if "horizon" in values else None,
-        lam=float(values.get("lambda", str(DEFAULT_LAMBDA))),
-        c=float(values.get("c", str(DEFAULT_COEFF))),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from mlpicard import (
     to_canonical,
     write_csv,
 )
+from mlpicard.cases import default_eval_points
 from mlpicard.harness import (
     CheckResult,
     check_convergence_trend,
@@ -33,7 +34,6 @@ from mlpicard.harness import (
     check_integral_identities,
     check_sampler_laws,
     check_unbiasedness_ladder,
-    default_eval_points,
 )
 from mlpicard.integrals import (
     IteratedIntegralSpec,

@@ -83,6 +83,28 @@ def test_converge_with_case_file(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_solve_bad_dimension_reports_error(capsys, d):
+    rc = main(["solve", "--case", "grad-dependent-sine", "--d", d,
+               "--n", "1", "--M", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == (f"error: dimension must be an integer >= 1, "
+                            f"got {d}\n")
+
+
+@pytest.mark.parametrize("horizon", ["-1", "inf", "nan"])
+def test_case_file_bad_horizon_reports_error(tmp_path, capsys, horizon):
+    case_path = tmp_path / "case.txt"
+    case_path.write_text(f"case = grad-dependent-sine\nhorizon = {horizon}\n")
+    rc = main(["converge", "--case", str(case_path), "--n-max", "1",
+               "--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == (f"error: horizon must be finite and > 0, "
+                            f"got {float(horizon)!r}\n")
+
+
 def test_converge_rejects_bad_m_rule(tmp_path):
     with pytest.raises(SystemExit):
         main(["converge", "--case", "grad-free-exponential", "--n-max", "1",

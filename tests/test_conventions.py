@@ -1,7 +1,7 @@
 """Property test: the forward and canonical time conventions agree.
 
 ``forward-heat`` is ``grad-dependent-sine`` rewritten in the forward
-convention on half the horizon (see :func:`mlpicard.harness.builtin_case`).
+convention on half the horizon (see :func:`mlpicard.cases.builtin_case`).
 Through the time map its exact field must equal the gradient case's bit for
 bit, and the estimator run on its canonical form must reproduce the gradient
 case's estimate up to rounding in the nonlinearity's time argument.

@@ -30,7 +30,7 @@ from mlpicard import (
     to_canonical,
 )
 from mlpicard.engine import BUDGET_ENV_VAR, DEFAULT_COST_BUDGET, resolve_budget
-from mlpicard.harness import BUILTIN_CASES
+from mlpicard.cases import BUILTIN_CASES
 
 
 def linear_problem(slope=1.5, dimension=1):
@@ -223,7 +223,7 @@ def test_sample_time_rounded_onto_horizon_gives_finite_estimate():
     # Z / sqrt(T - s) takes its limit 0 (the exact field there is (g, 0))
     # instead of handing f a 0/0 NaN at stream path (0, 1, 1).
     config = MlpConfig(depth=2, base=2, root_seed=3, time_cdf_exponent=0.5)
-    with np.errstate(all="raise", under="ignore"):
+    with np.errstate(all="raise"):
         est = evaluate(_sine_problem(2), config, math.nextafter(1.0, 0.0),
                        np.array([0.3, 0.3]))
     assert math.isfinite(est.value)
@@ -248,13 +248,14 @@ def test_admissible_queries_give_finite_estimates(name, d, t, e, x, n, base,
                                                   seed):
     # Every builtin case has canonical horizon 1.  No division by zero, no
     # overflow and no invalid operation anywhere in the recursion, up to
-    # the last floats below the horizon.  Underflow is no error: r =
-    # u**(1/e) underflows to 0 for small e, and the engine takes the limit.
+    # the last floats below the horizon.  evaluate ignores underflow
+    # itself: r = u**(1/e) underflows to 0 for small e, and the engine
+    # takes the limit.
     problem = _canonical_case(name, d)
     assert problem.horizon == 1.0
     config = MlpConfig(depth=n, base=base, root_seed=seed,
                        time_cdf_exponent=e)
-    with np.errstate(all="raise", under="ignore"):
+    with np.errstate(all="raise"):
         est = evaluate(problem, config, t, np.array(x[:d]))
     assert math.isfinite(est.value)
     assert np.all(np.isfinite(est.gradient))

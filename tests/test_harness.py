@@ -18,13 +18,15 @@ from mlpicard import (
     to_canonical,
     write_csv,
 )
-from mlpicard.harness import (
+from mlpicard.cases import (
     BUILTIN_CASES,
     RESIDUAL_GATE,
-    check_sampler_laws,
     default_eval_points,
     load_case_file,
     registration_residual,
+)
+from mlpicard.harness import (
+    check_sampler_laws,
     run_test_battery,
     unbiasedness_gap,
     verify_integral_identities,
@@ -56,17 +58,19 @@ def test_residual_check_detects_wrong_solution():
 
 
 def test_builtin_case_raises_on_failed_residual(monkeypatch):
-    import mlpicard.harness as harness
+    import mlpicard.cases as cases
 
-    good = harness._quadratic_case(1, 1.0)
+    factory, horizon = cases._FACTORIES["linear-heat-quadratic"]
+    good = factory(1, 1.0, 0.0, 0.0)
 
     def broken(t, x, _exact=good.exact):
         value, grad = _exact(t, x)
         return value + 0.1 * t, grad
 
-    monkeypatch.setattr(
-        harness, "_quadratic_case",
-        lambda d, T: dataclasses.replace(good, exact=broken))
+    monkeypatch.setitem(
+        cases._FACTORIES, "linear-heat-quadratic",
+        (lambda d, T, lam, c: dataclasses.replace(good, exact=broken),
+         horizon))
     with pytest.raises(ResidualCheckFailed):
         builtin_case("linear-heat-quadratic", dimension=1)
 

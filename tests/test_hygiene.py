@@ -153,3 +153,37 @@ def test_traced_names_exist(monkeypatch):
             if not hasattr(importlib.import_module(module), attr):
                 absent.append(dotted)
     assert absent == []
+
+
+def test_benchmark_reads_resolve():
+    # The benchmark reads package names that the tracer does not patch,
+    # such as harness.BUILTIN_CASES; a move that dropped one would stop it
+    # at start.  Every name bench/worker.py and bench/test_smoke.py import
+    # from the package, and every attribute they read of a package module,
+    # must resolve.
+    absent = []
+    for script in ("worker.py", "test_smoke.py"):
+        tree = ast.parse((ROOT / "bench" / script).read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((alias.asname or alias.name, alias.name)
+                               for alias in node.names
+                               if alias.name.partition(".")[0] == "mlpicard")
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module.partition(".")[0] == "mlpicard"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    value = getattr(module, alias.name, None)
+                    if value is None:
+                        absent.append(f"{node.module}.{alias.name}")
+                    elif isinstance(value, type(module)):
+                        modules[alias.asname or alias.name] = value.__name__
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                module = importlib.import_module(modules[node.value.id])
+                if not hasattr(module, node.attr):
+                    absent.append(f"{module.__name__}.{node.attr}")
+    assert absent == []
