@@ -133,6 +133,9 @@ def _sine(name: str, d: int, T: float, lam: float, c: float, k: float,
         amp = math.exp(lam * (T - t))
         return amp * float(np.mean(np.sin(x))), amp * np.cos(x) / d
 
+    if lam * T > math.log(np.finfo(float).max):
+        raise ValueError(f"lam={lam!r} overflows e^(lam T) on the canonical "
+                         f"horizon T={T!r}")
     amp0 = math.exp(lam * T)
     reg = RegularityData(l0=lam + 0.5, l=(c,) * d, frak_l=(c * amp0 / d,) * d,
                          k=(k,) * d, g_moment=1.0, f0_moment=c * amp0, q=4.0)
@@ -243,10 +246,12 @@ def builtin_case(
 
     ``horizon`` defaults to 1.0, except for the forward case where it is the
     forward horizon and defaults to 0.5 (so the canonical horizon is 1.0).
-    Raises ``ValueError`` unless ``dimension`` is an integer >= 1 and
-    ``horizon`` finite and > 0, :class:`UnknownCase` for a name outside
-    :data:`BUILTIN_CASES`, and :class:`ResidualCheckFailed` if the claimed
-    solution misses the PDE by more than the finite-difference gate.
+    Raises ``ValueError`` unless ``dimension`` is an integer >= 1,
+    ``horizon`` finite and > 0 and ``lam`` and ``c`` finite, or when a sine
+    case's amplitude e^(lam T) overflows on its canonical horizon T;
+    :class:`UnknownCase` for a name outside :data:`BUILTIN_CASES`; and
+    :class:`ResidualCheckFailed` if the claimed solution misses the PDE by
+    more than the finite-difference gate.
     """
     if name not in _FACTORIES:
         raise UnknownCase(
@@ -259,6 +264,9 @@ def builtin_case(
         horizon = default_horizon
     elif not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    for arg, value in (("lam", lam), ("c", c)):
+        if not math.isfinite(value):
+            raise ValueError(f"{arg} must be finite, got {value!r}")
     case = factory(dimension, horizon, lam, c)
     worst = registration_residual(case)
     if not worst < RESIDUAL_GATE:

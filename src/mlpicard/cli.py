@@ -165,8 +165,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_battery(args: argparse.Namespace) -> int:
-    report = run_test_battery(seed=args.seed, fast=args.fast,
-                              time_cdf_exponent=args.e)
+    report = run_test_battery(seed=args.seed, fast=args.fast)
     for line in report.lines():
         print(line)
     print(f"battery: {'PASS' if report.passed else 'FAIL'}")
@@ -241,9 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_batt.add_argument("--seed", type=int, default=0)
     p_batt.add_argument("--fast", action="store_true",
                         help="trimmed sample counts")
-    p_batt.add_argument("--e", type=float, default=0.5,
-                        help="time CDF exponent of the sampler's variance "
-                             "diagnostic; no other check reads it")
     p_batt.set_defaults(fn=_cmd_battery)
     return parser
 

@@ -54,10 +54,11 @@ If anything raises under the fan-out, the threads are joined and the whole
 estimate is replayed on the calling thread, so the error raised is the one
 a one-thread run raises.
 
-A group of K nodes at depth l has K M**l <= M**n, so every block has at
-most M**n rows; with at most n groups alive along the recursion, working
-memory is O(n M**n (1+d)) doubles per thread, about one subtree per
-worker under the fan-out.
+:func:`_estimates` evaluates K root nodes, each with its own time, point
+and stream path, as root groups of at most ``CHUNK_MAX_DRAWS`` predicted
+draws; :func:`evaluate` is its one-node case.  Below K roots every block
+has at most K M**n rows, and with at most n groups alive along the
+recursion working memory is O(n K M**n (1+d)) doubles.
 
 Every ``g`` and ``f`` output is checked at the boundary: it must have one
 finite value per row, else :class:`CallbackContractError` names the stream
@@ -107,6 +108,8 @@ DEFAULT_COST_BUDGET = 1_000_000_000
 # Predicted draws from which an estimate spreads its root's child groups
 # over the process's CPUs (see the module docstring).
 FANOUT_MIN_DRAWS = 1 << 18
+# Most predicted draws per _batch call of _estimates, bounding its memory.
+CHUNK_MAX_DRAWS = 1 << 22
 
 
 class QueryAtTerminalTime(ValueError):
@@ -206,24 +209,35 @@ def evaluate(
         raise QueryAtTerminalTime(
             f"t={t} >= horizon {problem.horizon}; at the horizon the field "
             "is (g(x), 0) exactly and needs no estimation")
-    paths = path_array(theta, "theta")
+    vec, draws = _estimates(problem, config, np.array([t], dtype=float),
+                            x[None, :], path_array(theta, "theta"), budget)
+    return FieldEstimate(value=float(vec[0, 0]), gradient=vec[0, 1:].copy(),
+                         draws=draws)
+
+
+def _estimates(problem, config, t, x, paths, budget=None):
+    """``(K, 1+d)`` estimates and their total draws: row k is
+    ``evaluate(problem, config, t[k], x[k], paths[k], budget)`` bit for bit,
+    without its query checks.  :func:`_batch` takes the nodes in chunks of
+    at most ``CHUNK_MAX_DRAWS`` predicted draws (one node where one costs
+    more), fanned out when all K cost at least ``FANOUT_MIN_DRAWS``."""
     allowed = resolve_budget(budget)
-    predicted = cost_rv(d, config.depth, config.base)
+    predicted = cost_rv(problem.dimension, config.depth, config.base)
     if predicted > allowed:
         raise DepthCostGuard(
-            f"depth {config.depth} with base {config.base} in dimension {d} "
-            f"costs {predicted} draws > budget {allowed}")
-
+            f"depth {config.depth} with base {config.base} in dimension "
+            f"{problem.dimension} costs {predicted} draws > budget {allowed}")
     ledger = DrawLedger()
-    workers = _workers() if predicted >= FANOUT_MIN_DRAWS else 1
+    k = len(paths)
+    workers = _workers() if k * predicted >= FANOUT_MIN_DRAWS else 1
+    step = max(1, CHUNK_MAX_DRAWS // max(predicted, 1))
     # Fan-out jobs inherit the errstate through copy_context.
     with np.errstate(under="ignore"):
-        vec = _batch(problem, config, config.depth, paths,
-                     np.array([t], dtype=float), x[None, :], ledger,
-                     workers)[0]
-    return FieldEstimate(
-        value=float(vec[0]), gradient=vec[1:].copy(), draws=ledger.scalar_draws
-    )
+        chunks = [_batch(problem, config, config.depth, paths[a:a + step],
+                         t[a:a + step], x[a:a + step], ledger, workers)
+                  for a in range(0, k, step)]
+    out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return out, ledger.scalar_draws
 
 
 def _rows(paths: np.ndarray, a: int, m: int, sign: int):

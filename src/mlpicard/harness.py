@@ -4,7 +4,8 @@
 :mod:`mlpicard.cases`) into error tables with an a-priori bound column,
 written by :func:`write_csv` under a fixed CSV schema.
 :func:`unbiasedness_gap` compares the estimator's mean with an independent
-direct simulation of its defining expectation, and
+direct simulation of its defining expectation, in two group calls of the
+engine (:func:`mlpicard.engine._estimates`), and
 :func:`verify_integral_identities` checks the iterated-integral closed forms
 against quadrature.  The ``check_*`` functions turn these, the sampler laws
 and the cost ledger into pass/fail entries, which :func:`run_test_battery`
@@ -27,8 +28,9 @@ import numpy as np
 
 from .bounds import ErrorBoundInput, cost_bound_closed, cost_rv, error_bound
 from .cases import BUILTIN_CASES, BenchmarkCase, builtin_case
-from .core import FieldEstimate, MlpConfig, PdeProblem, to_canonical
-from .engine import EmptySample, evaluate, replicate, rmse
+from .core import (FieldEstimate, MlpConfig, PdeProblem, is_int64,
+                   to_canonical)
+from .engine import EmptySample, _estimates, evaluate, replicate, rmse
 from .integrals import (
     HypothesisViolated,
     IteratedIntegralSpec,
@@ -235,37 +237,42 @@ def unbiasedness_gap(
     makes one inner sample per outer draw sufficient.  The right-hand side
     is simulated with an unrelated generator (numpy's) so only the
     expectation, not the stream mechanics, is shared with the engine.
+    Raises ``ValueError`` unless ``depth`` is an integer >= 1,
+    ``replications`` and ``sim_samples`` integers >= 2, and ``seed`` and
+    ``seed + 1234567`` (the inner estimator's seed) int64 integers.
 
     Returns a dict with the two mean vectors, per-coordinate gaps, the
     combined standard errors, and ``passed`` (all gaps within 4 sigma).
     """
-    case = builtin_case("grad-dependent-sine")
-    canonical, _ = to_canonical(case.problem)
+    if not (is_int64(depth) and depth >= 1):
+        raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
+    for name, count in (("replications", replications),
+                        ("sim_samples", sim_samples)):
+        if not (is_int64(count) and count >= 2):
+            raise ValueError(f"{name} must be an integer >= 2, got {count!r}")
+    if not (is_int64(seed) and is_int64(int(seed) + 1_234_567)):
+        raise ValueError(f"seed={seed!r} and seed + 1234567 must be int64")
+    canonical, _ = to_canonical(builtin_case("grad-dependent-sine").problem)
     d = canonical.dimension
-    T = canonical.horizon
     t = 0.0
     x = np.full(d, 1.0 / math.sqrt(d))
     e = 0.5
-    tau = T - t
+    tau = canonical.horizon - t
 
-    # Left side: engine replications.
+    # Left side: engine replications, replication k at root path (k,).
     config = MlpConfig(depth=depth, base=2, time_cdf_exponent=e,
                        root_seed=seed)
-    estimates = replicate(canonical, config, t, x, replications)
-    lhs = np.stack([est.as_vector() for est in estimates])
+    lhs, _ = _estimates(canonical, config, np.full(replications, t),
+                        np.tile(x, (replications, 1)),
+                        np.arange(1, replications + 1).reshape(-1, 1))
     lhs_mean = lhs.mean(axis=0)
-    lhs_se = lhs.std(axis=0, ddof=1) / math.sqrt(len(estimates))
+    lhs_se = lhs.std(axis=0, ddof=1) / math.sqrt(replications)
 
     # Right side: direct simulation of the one-step expectation.
     rng = np.random.default_rng(seed + 987_654_321)
-    g = canonical.terminal_data
-    f = canonical.nonlinearity
-
     zg = rng.standard_normal((sim_samples, d))
-    gv = g(x[None, :] + math.sqrt(tau) * zg)
-    g_terms = np.empty((sim_samples, 1 + d))
-    g_terms[:, 0] = gv
-    g_terms[:, 1:] = gv[:, None] * zg / math.sqrt(tau)
+    gv = canonical.terminal_data(x[None, :] + math.sqrt(tau) * zg)
+    g_terms = np.column_stack([gv, gv[:, None] * zg / math.sqrt(tau)])
 
     u = rng.uniform(size=sim_samples)
     r = u ** (1.0 / e)
@@ -273,22 +280,15 @@ def unbiasedness_gap(
     s_times = t + tau * r
     root = np.sqrt(tau * r)
     xi = x[None, :] + root[:, None] * zf
-    if depth <= 1:
-        field = np.zeros((sim_samples, 1 + d))
-    else:
-        field = np.empty((sim_samples, 1 + d))
-        sub_config = MlpConfig(depth=depth - 1, base=2,
-                               time_cdf_exponent=e,
-                               root_seed=seed + 1_234_567)
-        for k in range(sim_samples):
-            field[k] = evaluate(
-                canonical, sub_config, s_times[k], xi[k], theta=(k,)
-            ).as_vector()
-    fv = f(s_times, xi, field[:, 0], field[:, 1:])
+    # The depth-(n-1) field at sample k, on root path (k,); zero at n = 1.
+    sub_config = MlpConfig(depth=depth - 1, base=2, time_cdf_exponent=e,
+                           root_seed=seed + 1_234_567)
+    field, _ = _estimates(canonical, sub_config, s_times, xi,
+                          np.arange(sim_samples).reshape(-1, 1))
+    fv = canonical.nonlinearity(s_times, xi, field[:, 0], field[:, 1:])
     weight = tau * r ** (1.0 - e) / e
-    f_terms = np.empty((sim_samples, 1 + d))
-    f_terms[:, 0] = weight * fv
-    f_terms[:, 1:] = (weight * fv / root)[:, None] * zf
+    f_terms = np.column_stack([weight * fv,
+                               (weight * fv / root)[:, None] * zf])
 
     rhs_mean = g_terms.mean(axis=0) + f_terms.mean(axis=0)
     rhs_se = np.sqrt(
@@ -393,16 +393,14 @@ def check_sampler_laws(
     moment_samples: int,
     ks_path: tuple[int, ...],
     seed: int = 0,
-    e_diag: float = 0.5,
 ) -> CheckResult:
     """Time-fraction law and one-step variance of the sampler.
 
     For e in (0.3, 0.5, 0.7) the draws u**(1/e) of the stream at
     ``ks_path + (idx,)`` must pass a KS test against the CDF b**e at the 1%
     level.  The empirical second moment of one gradient coordinate of the
-    one-step kernel at (T, d) = (1, 1) and exponent ``e_diag`` must lie
-    strictly within three exact standard errors of T/(e(1-e)); outside the
-    reliable band [0.2, 0.8] the check fails with a heavy-tail flag.
+    one-step kernel at (T, d, e) = (1, 1, 1/2) must lie strictly within
+    three exact standard errors of T/(e(1-e)) = 4.
     """
     from scipy.stats import kstest
 
@@ -413,24 +411,14 @@ def check_sampler_laws(
         stat = kstest(draws, lambda b, _e=e: np.asarray(b) ** _e).statistic
         worst_ks = max(worst_ks, float(stat))
 
-    diag = single_step_second_moment(1.0, e_diag, 1, n_samples=moment_samples,
+    diag = single_step_second_moment(1.0, 0.5, 1, n_samples=moment_samples,
                                      root_seed=seed)
-    if diag.heavy_tail:
-        return CheckResult(
-            "sampler-laws", False,
-            f"variance diagnostic flags heavy tail at e={e_diag} "
-            f"(reliable band is [0.2, 0.8])")
     got = float(diag.gradient_moments[0])
-    # Per gradient coordinate, E[U^4] = 3 T^2 / (e^3 (2 - 3e)) for e < 2/3,
-    # giving the exact standard error of the empirical second moment; above
-    # 2/3 the fourth moment diverges and only a loose band is meaningful.
-    if e_diag < 2.0 / 3.0:
-        fourth = 3.0 / (e_diag**3 * (2.0 - 3.0 * e_diag))
-        sigma = math.sqrt(fourth - diag.expected_gradient**2) / math.sqrt(
-            moment_samples)
-        width = 3.0 * sigma
-    else:
-        width = 4.0 * diag.expected_gradient
+    # Per gradient coordinate, E[U^4] = 3 T^2 / (e^3 (2 - 3e)) = 48 at
+    # (T, e) = (1, 1/2) gives the exact standard error of the second moment.
+    sigma = math.sqrt(48.0 - diag.expected_gradient**2) / math.sqrt(
+        moment_samples)
+    width = 3.0 * sigma
     gap = abs(got - diag.expected_gradient)
     return CheckResult(
         "sampler-laws", worst_ks < critical and gap < width,
@@ -526,23 +514,17 @@ def check_convergence_trend(
         "convergence-trend", ok, "; ".join(details) + f" (gate {slack})")
 
 
-def run_test_battery(
-    seed: int = 0,
-    fast: bool = False,
-    time_cdf_exponent: float = 0.5,
-) -> BatteryReport:
+def run_test_battery(seed: int = 0, fast: bool = False) -> BatteryReport:
     """Aggregate statistical and structural checks of the whole stack.
 
     Runs the same ``check_*`` functions as the acceptance tests, at the
     battery's own sample sizes; ``fast`` trims them for quick smoke runs.
-    ``time_cdf_exponent`` drives only the sampler's variance diagnostic:
-    values outside the reliable band make that check fail with a
-    heavy-tail flag.  Failures are report entries, never exceptions.
+    Failures are report entries, never exceptions.
     """
     checks = (
         check_sampler_laws(20_000 if fast else 100_000,
                            100_000 if fast else 1_000_000,
-                           seed=seed, ks_path=(90,), e_diag=time_cdf_exponent),
+                           seed=seed, ks_path=(90,)),
         check_integral_identities(),
         check_unbiasedness_ladder(8_000 if fast else 30_000,
                                   16_000 if fast else 60_000, seed=seed),

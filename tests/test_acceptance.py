@@ -98,8 +98,7 @@ def test_criterion_3_sampler_laws():
     # KS at 1e5 draws on streams (50, 0..2) of root seed 0; E[U^2] = 4 at
     # (T, e) = (1, 1/2) from 1e6 samples within 3 sigma = 3 sqrt(32) / 1000.
     _gate("criterion 3 (time-fraction law + one-step variance)",
-          check_sampler_laws(100_000, 10**6, seed=0, ks_path=(50,),
-                             e_diag=0.5))
+          check_sampler_laws(100_000, 10**6, seed=0, ks_path=(50,)))
 
 
 def test_criterion_4_unbiasedness_ladder():

@@ -109,3 +109,25 @@ def test_bad_dimension_or_horizon_named():
 def test_numpy_integer_dimension_accepted():
     case = builtin_case("linear-heat-quadratic", dimension=np.int64(3))
     assert case.problem.dimension == 3
+
+
+def test_bad_lam_or_c_named():
+    # lam = 800 raised OverflowError from math.exp; lam = nan and c = inf
+    # surfaced as a ResidualCheckFailed with residual nan.
+    for name in BUILTIN_CASES:
+        for arg in ("lam", "c"):
+            for value in (math.inf, -math.inf, math.nan):
+                with pytest.raises(ValueError, match=rf"^{arg} must be "
+                                                     r"finite, got "):
+                    builtin_case(name, **{arg: value})
+    for name in ("grad-free-exponential", "grad-dependent-sine",
+                 "forward-heat"):
+        with pytest.raises(ValueError, match=r"^lam=800 overflows e\^\(lam "
+                                             r"T\) on the canonical horizon "
+                                             r"T=1\.0$"):
+            builtin_case(name, lam=800)
+    # forward-heat's canonical horizon is twice its own.
+    with pytest.raises(ValueError, match=r"^lam=1\.0 overflows .* T=720\.0$"):
+        builtin_case("forward-heat", horizon=360.0, lam=1.0)
+    # The quadratic case has no e^(lam T) and ignores lam.
+    builtin_case("linear-heat-quadratic", lam=800)

@@ -105,6 +105,22 @@ def test_case_file_bad_horizon_reports_error(tmp_path, capsys, horizon):
                             f"got {float(horizon)!r}\n")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("lambda = 1000",
+     "lam=1000.0 overflows e^(lam T) on the canonical horizon T=1.0"),
+    ("lambda = nan", "lam must be finite, got nan"),
+    ("c = inf", "c must be finite, got inf"),
+])
+def test_case_file_bad_lambda_or_c_reports_error(tmp_path, capsys, line,
+                                                 message):
+    case_path = tmp_path / "case.txt"
+    case_path.write_text(f"case = grad-dependent-sine\n{line}\n")
+    rc = main(["solve", "--case", str(case_path), "--n", "1", "--M", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {message}\n"
+
+
 def test_converge_rejects_bad_m_rule(tmp_path):
     with pytest.raises(SystemExit):
         main(["converge", "--case", "grad-free-exponential", "--n-max", "1",

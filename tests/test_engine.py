@@ -6,6 +6,7 @@ import math
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from mlpicard import (
     rmse,
     to_canonical,
 )
+from mlpicard import engine
 from mlpicard.engine import BUDGET_ENV_VAR, DEFAULT_COST_BUDGET, resolve_budget
 from mlpicard.cases import BUILTIN_CASES
 
@@ -259,6 +261,37 @@ def test_admissible_queries_give_finite_estimates(name, d, t, e, x, n, base,
         est = evaluate(problem, config, t, np.array(x[:d]))
     assert math.isfinite(est.value)
     assert np.all(np.isfinite(est.gradient))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(BUILTIN_CASES), d=st.integers(1, 3),
+       n=st.integers(0, 3), base=st.integers(1, 3),
+       seed=st.integers(-2**63, 2**63 - 1), k=st.integers(1, 6),
+       length=st.integers(1, 3), cap=st.sampled_from([1, 100, 1 << 22]),
+       data=st.data())
+def test_group_estimates_equal_one_node_estimates(name, d, n, base, seed, k,
+                                                  length, cap, data):
+    # Row j of one group call is evaluate(t_j, x_j, theta_j), bit for bit,
+    # whatever the chunk cap splits the K nodes into.
+    t = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                           min_size=k, max_size=k))
+    x = data.draw(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=d,
+                                    max_size=d), min_size=k, max_size=k))
+    thetas = data.draw(st.lists(
+        st.lists(st.integers(-2**63, 2**63 - 1), min_size=length,
+                 max_size=length), min_size=k, max_size=k))
+    problem = _canonical_case(name, d)
+    config = MlpConfig(depth=n, base=base, root_seed=seed)
+    with patch.object(engine, "CHUNK_MAX_DRAWS", cap):
+        rows, draws = engine._estimates(problem, config, np.array(t),
+                                        np.array(x), np.array(thetas))
+    singles = [evaluate(problem, config, t[j], np.array(x[j]),
+                        tuple(thetas[j])) for j in range(k)]
+    assert rows.shape == (k, 1 + d)
+    assert draws == sum(est.draws for est in singles)
+    for row, est in zip(rows, singles):
+        assert float(row[0]).hex() == est.value.hex()
+        assert row[1:].tobytes() == est.gradient.tobytes()
 
 
 def test_misshapen_callback_output_rejected():

@@ -18,6 +18,7 @@ from mlpicard import (
     builtin_case,
     cost_rv,
     evaluate,
+    replicate,
     stream_uniforms,
     to_canonical,
 )
@@ -88,6 +89,36 @@ def test_fanout_reproduces_one_thread_bits(monkeypatch, workers):
             assert {over for _, over in seen} == {"raise"}
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_group_of_roots_reproduces_replicate(monkeypatch, workers):
+    # Three roots at (k,), k = 1..3, in chunks of two nodes, against one
+    # evaluate each.
+    problem, config = _sine(3), MlpConfig(depth=5, base=5, root_seed=7)
+    x0 = np.linspace(-0.4, 0.6, 3)
+    cost = cost_rv(3, 5, 5)
+    assert cost >= engine.FANOUT_MIN_DRAWS
+    expected = replicate(problem, config, 0.25, x0, 3)
+    monkeypatch.setattr(engine, "_workers", lambda: workers)
+    monkeypatch.setattr(engine, "CHUNK_MAX_DRAWS", 2 * cost + 1)
+    chunks = []
+    batch = engine._batch
+
+    def counting(problem, config, depth, paths, *rest):
+        if depth == config.depth:
+            chunks.append(len(paths))
+        return batch(problem, config, depth, paths, *rest)
+
+    monkeypatch.setattr(engine, "_batch", counting)
+    rows, draws = engine._estimates(problem, config, np.full(3, 0.25),
+                                    np.tile(x0, (3, 1)),
+                                    np.arange(1, 4).reshape(-1, 1))
+    assert chunks == [2, 1]
+    assert draws == 3 * cost
+    for row, est in zip(rows, expected):
+        assert float(row[0]).hex() == est.value.hex()
+        assert row[1:].tobytes() == est.gradient.tobytes()
 
 
 def _replay(seed, theta, t, x, horizon, e, pairs):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from mlpicard.cases import (
     registration_residual,
 )
 from mlpicard.harness import (
-    check_sampler_laws,
     run_test_battery,
     unbiasedness_gap,
     verify_integral_identities,
@@ -208,6 +208,38 @@ def test_unbiasedness_gap_passes_at_modest_sizes():
     assert np.all(result["sigma"] > 0.0)
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("depth", 0), ("depth", -1), ("depth", 1.0), ("depth", True),
+    ("replications", 1), ("replications", 0), ("replications", 2.0),
+    ("sim_samples", 1), ("sim_samples", -5), ("sim_samples", None),
+])
+def test_unbiasedness_gap_rejects_bad_arguments(name, bad):
+    # replications or sim_samples of 1 used to give sigma = [nan, nan] and
+    # passed False; replications 0 failed only inside replicate.
+    args = {"depth": 1, "replications": 10, "sim_samples": 10, name: bad}
+    floor = 1 if name == "depth" else 2
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must be an integer >= {floor}, got "):
+        unbiasedness_gap(**args)
+
+
+@pytest.mark.parametrize("seed", [1.0, 2**63, 2**63 - 1_234_567, -2**63 - 1])
+def test_unbiasedness_gap_rejects_seed_outside_int64(seed):
+    # The inner estimator runs at seed + 1234567; a seed that takes it out
+    # of int64 used to fail deep in the sampler.
+    with pytest.raises(ValueError, match=r"^seed=.* and seed \+ 1234567 "
+                                         r"must be int64$"):
+        unbiasedness_gap(1, replications=2, sim_samples=2, seed=seed)
+
+
+def test_unbiasedness_gap_smallest_sizes_give_finite_sigma():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for depth in (1, 2):
+            result = unbiasedness_gap(depth, replications=2, sim_samples=2)
+            assert np.all(np.isfinite(result["sigma"]))
+
+
 def test_corrupted_time_weight_caught_by_unbiasedness_ladder(monkeypatch):
     # Fault injection: drop the r**(1-e) compensation down to r.  The
     # engine's means shift while the independently simulated expectation
@@ -218,13 +250,6 @@ def test_corrupted_time_weight_caught_by_unbiasedness_ladder(monkeypatch):
                               seed=0)
     assert not result["passed"]
     assert float(np.max(result["gaps"] / result["sigma"])) > 4.0
-
-
-def test_heavy_tail_exponent_fails_sampler_check():
-    check = check_sampler_laws(20_000, 100_000, seed=0, ks_path=(90,),
-                               e_diag=0.999)
-    assert not check.passed
-    assert "heavy tail" in check.detail
 
 
 def test_verify_integral_identities_structure():

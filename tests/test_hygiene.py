@@ -14,7 +14,17 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import mlpicard
+from mlpicard import (
+    MlpConfig,
+    builtin_case,
+    cost_rv,
+    engine,
+    harness,
+    to_canonical,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "mlpicard").glob("*.py")) + sorted(
@@ -187,3 +197,31 @@ def test_benchmark_reads_resolve():
                 if not hasattr(module, node.attr):
                     absent.append(f"{module.__name__}.{node.attr}")
     assert absent == []
+
+
+def test_traced_draws_equal_cost_of_traced_evaluates(monkeypatch):
+    # The benchmark's traced check: the draws of a traced run equal
+    # cost_rv summed over its engine.evaluate calls.  A path that draws
+    # without evaluate, such as a batched replicate, fails it.
+    spec = importlib.util.spec_from_file_location(
+        "_bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    problem = to_canonical(builtin_case("grad-dependent-sine",
+                                        dimension=2).problem)[0]
+    config = MlpConfig(depth=5, base=5)
+    assert cost_rv(2, 5, 5) >= engine.FANOUT_MIN_DRAWS
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        harness.run_convergence(builtin_case("forward-heat", dimension=2),
+                                [(2, 2)], replications=5)
+        # Through the module attribute, which the tracer patches.
+        engine.evaluate(problem, config, 0.0, np.zeros(2))
+    finally:
+        tracer.uninstall()
+    assert tracer.evaluate_cells == {(2, 2, 2): 5, (2, 5, 5): 1}
+    expected = sum(count * cost_rv(*cell)
+                   for cell, count in tracer.evaluate_cells.items())
+    assert tracer.metrics()["sampler.words"] == expected
