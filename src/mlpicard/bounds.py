@@ -66,7 +66,9 @@ class RegularityData:
     ``k``: d-vector of Lipschitz constants of g in x.
     ``g_moment``: sup over s in [0, T] of || g(xi + sqrt(s) Z) ||_{L^q}.
     ``f0_moment``: sup over times of || f(t, xi + sqrt(s) Z, 0, 0) ||_{L^q}.
-    ``q``: the moment order, q = 2p/(p-2) > 2 for the error bound's p.
+    ``q``: the moment order of the two norms, > 2.  The error bound at p
+    needs q >= 2p/(p-2); a higher order still gives an upper bound, since
+    L^q norms grow with q.
     """
 
     l0: float
@@ -121,7 +123,8 @@ def solution_moment_bound(reg: RegularityData, horizon: float) -> float:
 class ErrorBoundInput:
     """Inputs of the L2 error bound.
 
-    Hypotheses: p >= 2 and alpha in ((p-2)/(2(p-1)), p/(2(p-1))); then
+    Hypotheses: p >= 2, ``reg.q`` >= 2p/(p-2) (infinite at p = 2) and
+    alpha in ((p-2)/(2(p-1)), p/(2(p-1))); then
     beta = alpha/2 - (1-alpha)(p-2)/(2p) is positive.  ``u_moment_override``,
     when given, replaces the regularity-derived bound on
     sup_s max_i ||u_i(s, x + W_s - W_t)||_{L^q} with a known exact norm
@@ -144,6 +147,11 @@ class ErrorBoundInput:
     def check(self) -> None:
         if not self.p >= 2.0:
             raise HypothesisViolated(f"p must be >= 2, got {self.p}")
+        need = math.inf if self.p == 2.0 else 2.0 * self.p / (self.p - 2.0)
+        if self.reg.q < need:
+            raise HypothesisViolated(
+                f"norms of order q={self.reg.q} are too low for p={self.p}: "
+                f"need q >= 2p/(p-2) = {need:.6g}")
         lo = (self.p - 2.0) / (2.0 * (self.p - 1.0))
         hi = self.p / (2.0 * (self.p - 1.0))
         if not lo < self.alpha < hi:

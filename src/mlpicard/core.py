@@ -45,7 +45,6 @@ __all__ = [
     "FieldEstimate",
     "Violation",
     "InvalidProblem",
-    "check_problem",
     "validate_problem",
     "TimeMap",
     "to_canonical",
@@ -155,8 +154,9 @@ class InvalidProblem(ValueError):
         super().__init__("; ".join(str(v) for v in violations))
 
 
-def check_problem(problem: PdeProblem, config: MlpConfig) -> list[Violation]:
-    """All violated invariants of the pair (empty list when valid)."""
+def validate_problem(problem: PdeProblem, config: MlpConfig) -> None:
+    """Raise :class:`InvalidProblem` listing every violated invariant of
+    the pair; return ``None`` when it is valid."""
     out: list[Violation] = []
     if problem.dimension < 1:
         out.append(Violation("dimension", "ZeroDimension",
@@ -205,17 +205,8 @@ def check_problem(problem: PdeProblem, config: MlpConfig) -> list[Violation]:
             "time_cdf_exponent", "ExponentOutOfRange",
             f"time CDF exponent must lie strictly in (0, 1), "
             f"got {config.time_cdf_exponent}"))
-    return out
-
-
-def validate_problem(
-    problem: PdeProblem, config: MlpConfig
-) -> tuple[PdeProblem, MlpConfig]:
-    """Return the pair unchanged when valid; raise :class:`InvalidProblem`."""
-    violations = check_problem(problem, config)
-    if violations:
-        raise InvalidProblem(violations)
-    return problem, config
+    if out:
+        raise InvalidProblem(out)
 
 
 @dataclass(frozen=True)
@@ -234,10 +225,6 @@ class TimeMap:
 
     def inverse(self, s: float) -> float:
         return (s - self.offset) / self.slope
-
-    @property
-    def is_identity(self) -> bool:
-        return self.slope == 1.0 and self.offset == 0.0
 
 
 _IDENTITY = TimeMap(slope=1.0, offset=0.0)
@@ -260,8 +247,8 @@ def to_canonical(problem: PdeProblem) -> tuple[PdeProblem, TimeMap]:
     horizon = problem.horizon
     fwd_f = problem.nonlinearity
 
-    def canonical_f(t, x, y, z, _f=fwd_f, _T=horizon):
-        return _f(_T - t / 2.0, x, y, z) / 2.0
+    def canonical_f(t, x, y, z):
+        return fwd_f(horizon - t / 2.0, x, y, z) / 2.0
 
     canonical = replace(
         problem,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtri
 
 from .bounds import ErrorBoundInput, cost_bound_closed, cost_rv, error_bound
 from .cases import BUILTIN_CASES, BenchmarkCase, builtin_case
@@ -39,7 +40,7 @@ from .integrals import (
     iterated_integral_quadrature,
     iterated_integral_upper_bound,
 )
-from .sampler import single_step_second_moment, stream_uniforms
+from .sampler import stream_uniforms
 
 __all__ = [
     "ConvergenceRow",
@@ -238,8 +239,9 @@ def unbiasedness_gap(
     is simulated with an unrelated generator (numpy's) so only the
     expectation, not the stream mechanics, is shared with the engine.
     Raises ``ValueError`` unless ``depth`` is an integer >= 1,
-    ``replications`` and ``sim_samples`` integers >= 2, and ``seed`` and
-    ``seed + 1234567`` (the inner estimator's seed) int64 integers.
+    ``replications`` and ``sim_samples`` integers >= 2, ``seed`` an integer
+    >= -987654321 (``seed + 987654321`` seeds the direct simulation) and
+    ``seed + 1234567`` (the inner estimator's seed) an int64 integer.
 
     Returns a dict with the two mean vectors, per-coordinate gaps, the
     combined standard errors, and ``passed`` (all gaps within 4 sigma).
@@ -250,8 +252,10 @@ def unbiasedness_gap(
                         ("sim_samples", sim_samples)):
         if not (is_int64(count) and count >= 2):
             raise ValueError(f"{name} must be an integer >= 2, got {count!r}")
-    if not (is_int64(seed) and is_int64(int(seed) + 1_234_567)):
-        raise ValueError(f"seed={seed!r} and seed + 1234567 must be int64")
+    if not (is_int64(seed) and seed >= -987_654_321
+            and is_int64(int(seed) + 1_234_567)):
+        raise ValueError(f"seed={seed!r} must be >= -987654321 and "
+                         f"seed + 1234567 must be int64")
     canonical, _ = to_canonical(builtin_case("grad-dependent-sine").problem)
     d = canonical.dimension
     t = 0.0
@@ -334,7 +338,7 @@ def verify_integral_identities() -> tuple[list[dict], bool]:
         spec = IteratedIntegralSpec(
             j=j, alpha=alpha, beta=beta, gamma=gamma, horizon=1.0)
         closed = iterated_integral_closed(spec)
-        quad = iterated_integral_quadrature(spec, rel_tol=rel_tol)
+        quad = iterated_integral_quadrature(spec)
         gap = abs(closed - quad) / abs(closed)
         ok = gap <= rel_tol
         row = {
@@ -399,8 +403,9 @@ def check_sampler_laws(
     For e in (0.3, 0.5, 0.7) the draws u**(1/e) of the stream at
     ``ks_path + (idx,)`` must pass a KS test against the CDF b**e at the 1%
     level.  The empirical second moment of one gradient coordinate of the
-    one-step kernel at (T, d, e) = (1, 1, 1/2) must lie strictly within
-    three exact standard errors of T/(e(1-e)) = 4.
+    one-step kernel at (T, d, e) = (1, 1, 1/2), from ``moment_samples``
+    pairs of the stream at path ``(0,)``, must lie strictly within three
+    exact standard errors of T/(e(1-e)) = 4.
     """
     from scipy.stats import kstest
 
@@ -411,19 +416,20 @@ def check_sampler_laws(
         stat = kstest(draws, lambda b, _e=e: np.asarray(b) ** _e).statistic
         worst_ks = max(worst_ks, float(stat))
 
-    diag = single_step_second_moment(1.0, 0.5, 1, n_samples=moment_samples,
-                                     root_seed=seed)
-    got = float(diag.gradient_moments[0])
-    # Per gradient coordinate, E[U^4] = 3 T^2 / (e^3 (2 - 3e)) = 48 at
-    # (T, e) = (1, 1/2) gives the exact standard error of the second moment.
-    sigma = math.sqrt(48.0 - diag.expected_gradient**2) / math.sqrt(
-        moment_samples)
-    width = 3.0 * sigma
-    gap = abs(got - diag.expected_gradient)
+    # The kernel is U = w(r) Z / sqrt(T r) with weight w(r) = T r^(1-e) / e,
+    # r = u^(1/e) and Z = ndtri(u'), from row pairs (u, u') of stream (0,).
+    u = stream_uniforms(seed, (0,), 2 * moment_samples).reshape(-1, 2)
+    r = u[:, 0] ** 2.0
+    w = r ** 0.5 / 0.5
+    got = float(np.mean((w / np.sqrt(r) * ndtri(u[:, 1])) ** 2))
+    # E[U^2] = T / (e (1 - e)) = 4 and E[U^4] = 3 T^2 / (e^3 (2 - 3e)) = 48
+    # give the exact standard error of the second moment.
+    width = 3.0 * (math.sqrt(48.0 - 16.0) / math.sqrt(moment_samples))
+    gap = abs(got - 4.0)
     return CheckResult(
         "sampler-laws", worst_ks < critical and gap < width,
         f"worst KS {worst_ks:.5f} < {critical:.5f}; second moment "
-        f"|{got:.4f} - {diag.expected_gradient:.4f}| = {gap:.5f} < {width:.5f}")
+        f"|{got:.4f} - 4.0000| = {gap:.5f} < {width:.5f}")
 
 
 def check_integral_identities() -> CheckResult:

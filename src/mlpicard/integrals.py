@@ -9,10 +9,11 @@ exponent is e = 1 - alpha), the j-fold iterated integral
     I_j(s0) = int_{s0}^T (s1-s0)^(-beta) rho((s1-s0)/(T-s0))^(-gamma) / (T-s0)^(-gamma)
               ... int_{s_{j-1}}^T (...) ds_j ... ds_1
 
-normalizes, factor by factor, to one-dimensional Beta-type integrals.  This
-module provides the closed form, an adaptive-quadrature evaluation of the
-factorized form, a Gamma-ratio upper bound and a lower bound for the
-beta = gamma = 1 case.
+normalizes, factor by factor, to one-dimensional Beta-type integrals, so it
+depends on (s0, T) only through the interval length T - s0, which every
+function here takes as its ``horizon``.  This module provides the closed
+form, an adaptive-quadrature evaluation of the factorized form, a
+Gamma-ratio upper bound and a lower bound for the beta = gamma = 1 case.
 
 Only :func:`iterated_integral_quadrature` needs ``scipy.integrate``; it
 imports it when called, so importing this module (and the solver, which
@@ -47,7 +48,10 @@ class NonIntegrable(ValueError):
 
 
 class ToleranceNotMet(ArithmeticError):
-    """Adaptive quadrature could not certify the requested tolerance."""
+    """Adaptive quadrature could not certify its relative tolerance."""
+
+
+_REL_TOL, _ABS_TOL = 1e-6, 1e-8  # relative on the product, absolute per factor
 
 
 @dataclass(frozen=True)
@@ -56,8 +60,8 @@ class IteratedIntegralSpec:
 
     ``j`` is the nesting depth (j = 0 gives the empty product, value 1);
     ``alpha`` the density-convention exponent in (0, 1); ``beta`` the
-    singularity exponent; ``gamma`` the density power; ``horizon`` and
-    ``start`` the time interval (T, s0) with s0 < T.
+    singularity exponent; ``gamma`` the density power; ``horizon`` the
+    length T - s0 > 0 of the time interval.
     """
 
     j: int
@@ -65,7 +69,6 @@ class IteratedIntegralSpec:
     beta: float
     gamma: float
     horizon: float
-    start: float = 0.0
 
     def __post_init__(self):
         if self.j < 0:
@@ -73,9 +76,9 @@ class IteratedIntegralSpec:
         if not 0.0 < self.alpha < 1.0:
             raise HypothesisViolated(
                 f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.start < self.horizon:
+        if not self.horizon > 0.0:
             raise HypothesisViolated(
-                f"need start < horizon, got [{self.start}, {self.horizon}]")
+                f"horizon T - s0 must be > 0, got {self.horizon}")
 
 
 def _closed_hypothesis(spec: IteratedIntegralSpec) -> None:
@@ -103,7 +106,7 @@ def iterated_integral_closed(spec: IteratedIntegralSpec) -> float:
     c = 1.0 + spec.gamma - spec.beta
     ab = spec.alpha * spec.gamma - spec.beta
     lg = spec.j * (
-        c * math.log(spec.horizon - spec.start)
+        c * math.log(spec.horizon)
         + gammaln(ab + 1.0)
         - spec.gamma * math.log1p(-spec.alpha)
     )
@@ -112,11 +115,7 @@ def iterated_integral_closed(spec: IteratedIntegralSpec) -> float:
     return math.exp(lg)
 
 
-def iterated_integral_quadrature(
-    spec: IteratedIntegralSpec,
-    rel_tol: float = 1e-6,
-    abs_tol: float = 1e-8,
-) -> float:
+def iterated_integral_quadrature(spec: IteratedIntegralSpec) -> float:
     """Numerical evaluation of the factorized iterated integral.
 
     Each nesting level contributes one factor
@@ -128,7 +127,7 @@ def iterated_integral_quadrature(
     k = max(1, 2/(alpha gamma - beta + 1)) before handing the factor to
     adaptive quadrature.  Raises :class:`NonIntegrable` when the exponent
     hypothesis fails and :class:`ToleranceNotMet` when the quadrature error
-    estimate cannot certify ``rel_tol`` on the product.
+    estimate cannot certify a relative 1e-6 on the product.
     """
     from scipy.integrate import quad
 
@@ -142,7 +141,7 @@ def iterated_integral_quadrature(
     c = 1.0 + spec.gamma - spec.beta
     k = max(1.0, 2.0 / (ab + 1.0))
     log_scale = spec.j * (
-        c * math.log(spec.horizon - spec.start)
+        c * math.log(spec.horizon)
         - spec.gamma * math.log1p(-spec.alpha)
     )
     log_prod = 0.0
@@ -155,15 +154,15 @@ def iterated_integral_quadrature(
             return k * u ** (k * (ab + 1.0) - 1.0) * (1.0 - s) ** a_i
 
         val, err = quad(integrand, 0.0, 1.0,
-                        epsabs=abs_tol, epsrel=rel_tol / 10.0, limit=200)
+                        epsabs=_ABS_TOL, epsrel=_REL_TOL / 10.0, limit=200)
         if val <= 0.0:
             raise ToleranceNotMet(f"quadrature factor {i} returned {val}")
         log_prod += math.log(val)
         rel_err += err / val
-    if rel_err > rel_tol:
+    if rel_err > _REL_TOL:
         raise ToleranceNotMet(
             f"accumulated quadrature error {rel_err:.3e} exceeds "
-            f"relative tolerance {rel_tol:.3e}")
+            f"relative tolerance {_REL_TOL:.3e}")
     return math.exp(log_scale + log_prod)
 
 
@@ -183,7 +182,7 @@ def iterated_integral_upper_bound(spec: IteratedIntegralSpec) -> float:
         return 1.0
     c = 1.0 + spec.gamma - spec.beta
     lg = spec.j * (
-        c * math.log(spec.horizon - spec.start)
+        c * math.log(spec.horizon)
         + gammaln(ab + 1.0)
         - spec.gamma * math.log1p(-spec.alpha)
         - (ab + 1.0) * math.log(c)
@@ -193,19 +192,20 @@ def iterated_integral_upper_bound(spec: IteratedIntegralSpec) -> float:
     return math.exp(lg)
 
 
-def iterated_integral_lower_bound(j: int, horizon: float, start: float = 0.0) -> float:
-    """Lower bound (pi (T-s0))^(j+1) / Gamma((j+3)/2)^2 for beta = gamma = 1.
+def iterated_integral_lower_bound(j: int, horizon: float) -> float:
+    """Lower bound (pi h)^(j+1) / Gamma((j+3)/2)^2 for beta = gamma = 1,
+    on a time interval of length ``horizon`` h = T - s0 > 0.
 
     Indexing note: this bounds the iterated integral of nesting depth j+1
     (the closed form with ``IteratedIntegralSpec(j=j+1, beta=1, gamma=1)``)
     from below, for every alpha in (0, 1).  At alpha = 1/2, j = 0 the two
-    sides agree exactly: both equal 4(T - s0).
+    sides agree exactly: both equal 4h.
     """
     if j < 0:
         raise HypothesisViolated(f"j must be >= 0, got {j}")
-    if not start < horizon:
-        raise HypothesisViolated(f"need start < horizon, got [{start}, {horizon}]")
+    if not horizon > 0.0:
+        raise HypothesisViolated(f"horizon T - s0 must be > 0, got {horizon}")
     return math.exp(
-        (j + 1) * math.log(math.pi * (horizon - start))
+        (j + 1) * math.log(math.pi * horizon)
         - 2.0 * gammaln((j + 3) / 2.0)
     )

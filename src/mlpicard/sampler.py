@@ -33,7 +33,8 @@ consumed is always exactly the number of variates requested.
 
 The time-fraction law used throughout has CDF P(r <= b) = b**e on (0, 1)
 for an exponent e in (0, 1); small e concentrates sampled times near the
-start of the interval.
+start of the interval.  :func:`mlpicard.harness.check_sampler_laws` tests
+this law and the second moment of the one-step kernel on these streams.
 """
 
 from __future__ import annotations
@@ -45,17 +46,10 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import is_int64
 
-__all__ = [
-    "DrawLedger",
-    "stream_uniforms",
-    "block_uniforms",
-    "SecondMomentDiagnostic",
-    "single_step_second_moment",
-]
+__all__ = ["DrawLedger", "stream_uniforms", "block_uniforms"]
 
 # 0-d arrays, not numpy scalars: numpy dispatches them faster, which counts
 # on small blocks (mix64 on 2 to 42 words takes 20-35% less time).
@@ -199,56 +193,3 @@ def block_uniforms(
         ledger.add(rows * width)
     return _to_uniform(_words(root_seed, paths, width))
 
-
-@dataclass(frozen=True)
-class SecondMomentDiagnostic:
-    """Result of the single-step variance diagnostic."""
-
-    gradient_moments: np.ndarray  # empirical E[U_i^2] per gradient coordinate
-    value_moment: float           # empirical E[U_0^2]
-    expected_gradient: float      # T/(e(1-e)), per-coordinate closed form
-    expected_value: float         # T^2/(e(2-e))
-    heavy_tail: bool              # e outside [0.2, 0.8]: estimates unreliable
-    samples: int
-
-
-def single_step_second_moment(
-    horizon: float,
-    e: float,
-    dimension: int,
-    n_samples: int = 100_000,
-    root_seed: int = 0,
-) -> SecondMomentDiagnostic:
-    """Empirical second moments of the one-step kernel U = w(r)·(1, Z/√(T r)).
-
-    Here w(r) = T·r^(1-e)/e is the importance weight at t = 0 and r follows
-    the CDF b**e.  Per gradient coordinate the closed-form second moment is
-    T/(e(1-e)) — finite for every e in (0, 1) but exploding as e → 1, which
-    is why exponents are restricted away from 1.  The fourth moment needed
-    for a reliable Monte Carlo estimate is finite only for e < 2/3, so the
-    result carries a heavy-tail flag outside the comfortable band
-    e ∈ [0.2, 0.8].
-    """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if not 0.0 < e < 1.0:
-        raise ValueError(f"time CDF exponent must lie in (0, 1), got {e}")
-    if dimension < 1:
-        raise ValueError("dimension must be at least 1")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    u = stream_uniforms(root_seed, (0,), n_samples * (1 + dimension))
-    u = u.reshape(n_samples, 1 + dimension)
-    r = u[:, 0] ** (1.0 / e)
-    z = ndtri(u[:, 1:])
-    w = horizon * r ** (1.0 - e) / e
-    value = w
-    grad = (w / np.sqrt(horizon * r))[:, None] * z
-    return SecondMomentDiagnostic(
-        gradient_moments=np.mean(grad**2, axis=0),
-        value_moment=float(np.mean(value**2)),
-        expected_gradient=horizon / (e * (1.0 - e)),
-        expected_value=horizon**2 / (e * (2.0 - e)),
-        heavy_tail=not (0.2 <= e <= 0.8),
-        samples=n_samples,
-    )

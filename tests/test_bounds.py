@@ -201,6 +201,17 @@ def test_error_bound_hypothesis_errors():
         error_bound(make_input(t=1.0))
 
 
+def test_error_bound_needs_norms_of_order_2p_over_p_minus_2():
+    # The bound at p reads L^q norms of order q = 2p/(p-2): p = 3 needs
+    # q >= 6 and p = 2 needs q = inf.  A higher order is still a bound.
+    for p, q in ((3.0, 4.0), (3.0, 5.9), (2.5, 9.0), (2.0, 1e6)):
+        with pytest.raises(HypothesisViolated, match=r"q=.* 2p/\(p-2\)"):
+            error_bound(make_input(p=p, reg=make_reg(q=q)))
+    for p, q in ((3.0, 6.0), (3.0, 8.0), (2.5, 10.0), (2.0, math.inf),
+                 (4.0, 4.0)):
+        assert 0.0 < error_bound(make_input(p=p, reg=make_reg(q=q))) < math.inf
+
+
 def test_error_bound_override_must_be_nonnegative():
     with pytest.raises(ValueError):
         error_bound(make_input(u_moment_override=-1.0))

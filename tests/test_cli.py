@@ -157,6 +157,17 @@ def test_schedule_inadmissible_exponent_exits():
               "--eps", "0.5", "--alpha", "0.8", "--q", "0.9"])
 
 
+def test_schedule_norm_order_below_p_reports_error(capsys):
+    # The builtin cases carry L^4 norms, which the bound may use up to p = 4.
+    rc = main(["schedule", "--case", "grad-dependent-sine", "--eps", "1e4",
+               "--p", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == ("error: norms of order q=4.0 are too low for "
+                            "p=3.0: need q >= 2p/(p-2) = 6\n")
+
+
 def test_battery_fast(capsys):
     rc = main(["battery", "--fast"])
     out = capsys.readouterr().out

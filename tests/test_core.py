@@ -15,7 +15,7 @@ from mlpicard import (
     evaluate,
     to_canonical,
 )
-from mlpicard.core import check_problem, validate_problem
+from mlpicard.core import validate_problem
 
 
 def make_problem(**overrides):
@@ -38,13 +38,15 @@ def make_config(**overrides):
 
 
 def codes(problem, config):
-    return {v.code for v in check_problem(problem, config)}
+    try:
+        validate_problem(problem, config)
+    except InvalidProblem as exc:
+        return {v.code for v in exc.violations}
+    return set()
 
 
 def test_valid_pair_has_no_violations():
-    assert check_problem(make_problem(), make_config()) == []
-    prob, conf = validate_problem(make_problem(), make_config())
-    assert prob is not None and conf is not None
+    assert validate_problem(make_problem(), make_config()) is None
 
 
 def test_zero_dimension_flagged():
@@ -120,24 +122,24 @@ def test_numpy_integers_and_int64_seed_limits_are_valid():
     for seed in (-2**63, 2**63 - 1, np.uint64(7)):
         config = make_config(depth=np.int64(2), base=np.int32(2),
                              root_seed=seed)
-        assert check_problem(make_problem(), config) == []
+        assert validate_problem(make_problem(), config) is None
 
 
 def test_backward_problem_is_fixed_point_of_canonicalization():
     prob = make_problem()
     canonical, tmap = to_canonical(prob)
     assert canonical is prob
-    assert tmap.is_identity
+    assert (tmap.slope, tmap.offset) == (1.0, 0.0)
     again, tmap2 = to_canonical(canonical)
     assert again is canonical
-    assert tmap2.is_identity
+    assert (tmap2.slope, tmap2.offset) == (1.0, 0.0)
 
 
 def test_time_map_round_trip():
     tmap = TimeMap(slope=-2.0, offset=1.0)
     for t in (0.0, 0.125, 0.3, 0.5):
         assert tmap.inverse(tmap(t)) == pytest.approx(t, abs=1e-15)
-    assert not tmap.is_identity
+    assert (tmap.slope, tmap.offset) != (1.0, 0.0)
 
 
 def test_forward_problem_maps_to_doubled_horizon():

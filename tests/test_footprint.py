@@ -67,7 +67,7 @@ SCRIPT = textwrap.dedent("""
     )
     check_sampler_laws(ks_samples=200, moment_samples=200, ks_path=(1,))
     iterated_integral_quadrature(IteratedIntegralSpec(
-        j=2, alpha=0.5, beta=0.5, gamma=1.0, horizon=1.0, start=0.0))
+        j=2, alpha=0.5, beta=0.5, gamma=1.0, horizon=1.0))
     assert {"scipy.stats", "scipy.integrate"} <= scipy_subpackages()
     print("ok")
 """)

@@ -223,11 +223,14 @@ def test_unbiasedness_gap_rejects_bad_arguments(name, bad):
         unbiasedness_gap(**args)
 
 
-@pytest.mark.parametrize("seed", [1.0, 2**63, 2**63 - 1_234_567, -2**63 - 1])
+@pytest.mark.parametrize("seed", [1.0, 2**63, 2**63 - 1_234_567, -2**63 - 1,
+                                  -987_654_322, -10**9])
 def test_unbiasedness_gap_rejects_seed_outside_int64(seed):
     # The inner estimator runs at seed + 1234567; a seed that takes it out
-    # of int64 used to fail deep in the sampler.
-    with pytest.raises(ValueError, match=r"^seed=.* and seed \+ 1234567 "
+    # of int64 used to fail deep in the sampler.  The direct simulation's
+    # generator takes seed + 987654321, which numpy rejects below zero.
+    with pytest.raises(ValueError, match=r"^seed=.* must be >= -987654321 "
+                                         r"and seed \+ 1234567 "
                                          r"must be int64$"):
         unbiasedness_gap(1, replications=2, sim_samples=2, seed=seed)
 

@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, no private
-helper of the package is left without a caller, and the public surface is
-the one the README documents.
+helper or method of the package is left without a caller outside the
+tests, and the public surface is the one the README documents.
 
 No linter is configured for the project, so this scans the package and the
 test modules with the standard library's ``ast``.  ``from __future__``
@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -73,25 +74,43 @@ def test_no_unused_imports():
     assert found == {}
 
 
-def dead_private_helpers(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions and classes of ``sources`` (module
-    name -> source) that no code in any of them references outside the
-    helper's own definition."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def _ref_names(tree: ast.AST) -> Counter:
+    """How often each name is read, as a name, an attribute or an import."""
+    return Counter(getattr(ref, "id", None) or getattr(ref, "attr", None)
+                   or ref.name for ref in ast.walk(tree)
+                   if isinstance(ref, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def dead_helpers(package: dict[str, str],
+                 readers: dict[str, str] | None = None) -> list[str]:
+    """Module-level private functions and classes of ``package`` (module
+    name -> source), and the methods and properties of its module-level
+    classes (dunders exempt), that no code in ``package`` or ``readers``
+    references outside the definition itself.  Tests are not readers: a
+    method that only a test calls counts as dead."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    refs = sum((_ref_names(tree) for tree in trees.values()), Counter())
+    refs += sum((_ref_names(ast.parse(source))
+                 for source in (readers or {}).values()), Counter())
+
+    def unread(node: ast.AST) -> bool:
+        return refs[node.name] == _ref_names(node)[node.name]
+
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            own = {id(inner) for inner in ast.walk(node)}
-            if not any(id(ref) not in own and node.name in (
-                    getattr(ref, "id", None), getattr(ref, "attr", None),
-                    getattr(ref, "name", None))
-                    for other in trees.values() for ref in ast.walk(other)
-                    if isinstance(ref, (ast.Name, ast.Attribute, ast.alias))):
+            if (node.name.startswith("_") and not node.name.startswith("__")
+                    and unread(node)):
                 dead.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                dead.extend(
+                    f"{module}.{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__")
+                             and item.name.endswith("__"))
+                    and unread(item))
     return dead
 
 
@@ -99,15 +118,29 @@ def test_dead_helper_scanner_flags_only_uncalled_helpers():
     sources = {"a": ("def _used(n):\n    return _used(n - 1) if n else 0\n"
                      "def _self_only(n):\n    return _self_only(n - 1)\n"
                      "class _Unused:\n    pass\n"
-                     "def __getattr__(name):\n    return name\n"),
-               "b": "from a import _used\n"}
-    assert dead_private_helpers(sources) == ["a._self_only", "a._Unused"]
+                     "def __getattr__(name):\n    return name\n"
+                     "class Kept:\n"
+                     "    def __repr__(self):\n        return 'k'\n"
+                     "    def used(self):\n        return self.shown\n"
+                     "    @property\n    def shown(self):\n        return 1\n"
+                     "    def for_bench(self):\n        return 2\n"
+                     "    def for_tests(self):\n        return 3\n"),
+               "b": "from a import _used, Kept\nKept().used()\n"}
+    # A test calling Kept().for_tests() is not passed: only src/ and bench/
+    # keep a method alive.
+    bench = {"worker": "import a\na.Kept().for_bench()\n"}
+    assert dead_helpers(sources, bench) == [
+        "a._self_only", "a._Unused", "a.Kept.for_tests"]
+    assert dead_helpers(sources)[-2:] == ["a.Kept.for_bench",
+                                          "a.Kept.for_tests"]
 
 
 def test_no_dead_private_helpers():
     package = ROOT / "src" / "mlpicard"
-    assert dead_private_helpers({path.stem: path.read_text()
-                                 for path in package.glob("*.py")}) == []
+    bench = ROOT / "bench"
+    assert dead_helpers(
+        {path.stem: path.read_text() for path in package.glob("*.py")},
+        {path.stem: path.read_text() for path in bench.glob("*.py")}) == []
 
 
 # The README's functions for library use, and the classes and exceptions

@@ -24,9 +24,9 @@ GRID = [
 ]
 
 
-def spec(j, alpha, beta, gamma, horizon=1.0, start=0.0):
+def spec(j, alpha, beta, gamma, horizon=1.0):
     return IteratedIntegralSpec(j=j, alpha=alpha, beta=beta, gamma=gamma,
-                                horizon=horizon, start=start)
+                                horizon=horizon)
 
 
 def test_single_level_closed_form_value():
@@ -50,13 +50,6 @@ def test_closed_form_scales_with_interval_length():
             2.0 ** (j * (1.0 + gamma - beta)), rel=1e-10)
 
 
-def test_closed_form_depends_only_on_interval_length():
-    a = iterated_integral_closed(spec(2, 0.5, 1.0, 1.0, horizon=3.0,
-                                      start=1.0))
-    b = iterated_integral_closed(spec(2, 0.5, 1.0, 1.0, horizon=2.0))
-    assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_empty_product_is_one():
     assert iterated_integral_closed(spec(0, 0.5, 1.0, 1.0)) == 1.0
     assert iterated_integral_quadrature(spec(0, 0.5, 1.0, 1.0)) == 1.0
@@ -76,8 +69,7 @@ def test_beta_function_identity_backs_single_factor():
 def test_closed_matches_quadrature_on_grid():
     for j, alpha, beta, gamma in GRID:
         closed = iterated_integral_closed(spec(j, alpha, beta, gamma))
-        quad = iterated_integral_quadrature(spec(j, alpha, beta, gamma),
-                                            rel_tol=1e-6)
+        quad = iterated_integral_quadrature(spec(j, alpha, beta, gamma))
         assert quad == pytest.approx(closed, rel=1e-6), \
             f"(j={j}, alpha={alpha}, beta={beta}, gamma={gamma})"
 
@@ -104,8 +96,9 @@ def test_closed_form_hypothesis_errors():
         spec(-1, 0.5, 1.0, 1.0)
     with pytest.raises(HypothesisViolated):
         spec(1, 1.0, 1.0, 1.0)
-    with pytest.raises(HypothesisViolated):
-        spec(1, 0.5, 1.0, 1.0, horizon=1.0, start=1.0)
+    for horizon in (0.0, -1.0):
+        with pytest.raises(HypothesisViolated, match="horizon"):
+            spec(1, 0.5, 1.0, 1.0, horizon=horizon)
 
 
 def test_upper_bound_dominates_closed_on_admissible_grid():
@@ -162,8 +155,9 @@ def test_lower_bound_below_closed_for_alpha_sweep():
 def test_lower_bound_input_validation():
     with pytest.raises(HypothesisViolated):
         iterated_integral_lower_bound(-1, 1.0)
-    with pytest.raises(HypothesisViolated):
-        iterated_integral_lower_bound(0, 1.0, start=1.0)
+    for horizon in (0.0, -1.0):
+        with pytest.raises(HypothesisViolated, match="horizon"):
+            iterated_integral_lower_bound(0, horizon)
 
 
 def test_deep_nesting_stays_finite():

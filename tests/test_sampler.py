@@ -8,11 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtri
 
 from mlpicard import sampler, stream_uniforms
-from mlpicard.sampler import (
-    DrawLedger,
-    block_uniforms,
-    single_step_second_moment,
-)
+from mlpicard.sampler import DrawLedger, block_uniforms
 
 INT64 = st.integers(-2**63, 2**63 - 1)
 PATHS = st.lists(INT64, max_size=4).map(tuple)
@@ -231,48 +227,3 @@ def test_block_uniforms_ledger_counts_all_cells():
                    ledger=ledger)
     assert ledger.scalar_draws == 12
 
-
-def test_second_moment_diagnostic_matches_closed_form():
-    # Per gradient coordinate E[U^2] = T/(e(1-e)): 4 at (T, e) = (1, 1/2)
-    # and 8 at (2, 1/2).  Exact 3-sigma bands from the fourth moment
-    # 3 T^2 / (e^3 (2 - 3e)).
-    n = 100_000
-    for horizon, expected in ((1.0, 4.0), (2.0, 8.0)):
-        diag = single_step_second_moment(horizon, 0.5, 1, n_samples=n)
-        assert diag.expected_gradient == expected
-        fourth = 3.0 * horizon**2 / (0.5**3 * 0.5)
-        sigma = math.sqrt(fourth - expected**2) / math.sqrt(n)
-        assert abs(diag.gradient_moments[0] - expected) < 3.0 * sigma
-        assert diag.expected_value == horizon**2 / (0.5 * 1.5)
-        assert not diag.heavy_tail
-        assert diag.samples == n
-
-
-def test_second_moment_value_coordinate():
-    diag = single_step_second_moment(1.0, 0.5, 2, n_samples=200_000)
-    # E[U_0^2] = T^2/(e(2-e)) = 4/3; the value weight is bounded so a
-    # loose band suffices.
-    assert abs(diag.value_moment - 4.0 / 3.0) < 0.02
-    assert diag.gradient_moments.shape == (2,)
-
-
-def test_heavy_tail_flag_tracks_exponent_band():
-    # The closed-form moment stays finite as e -> 1 but its Monte Carlo
-    # estimate becomes unreliable; the diagnostic flags e outside [0.2, 0.8].
-    diag = single_step_second_moment(1.0, 0.95, 1, n_samples=100)
-    assert diag.heavy_tail
-    assert diag.expected_gradient == pytest.approx(1.0 / (0.95 * 0.05))
-    assert not single_step_second_moment(
-        1.0, 0.5, 1, n_samples=100).heavy_tail
-    assert single_step_second_moment(1.0, 0.1, 1, n_samples=100).heavy_tail
-
-
-def test_second_moment_input_validation():
-    with pytest.raises(ValueError):
-        single_step_second_moment(0.0, 0.5, 1)
-    with pytest.raises(ValueError):
-        single_step_second_moment(1.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        single_step_second_moment(1.0, 0.5, 0)
-    with pytest.raises(ValueError):
-        single_step_second_moment(1.0, 0.5, 1, n_samples=0)
