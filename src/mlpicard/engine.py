@@ -23,42 +23,48 @@ uses suffixes (0, -i), which cannot collide with the level-0 block's
 depth-n evaluation equals :func:`mlpicard.bounds.cost_rv` exactly.
 
 The tree is evaluated one group at a time, not one node at a time.  A
-group is the set of K nodes that share a depth and a tree position, such
-as the depth-l sub-estimates of all samples of the level-l blocks of one
-parent group; it is held as arrays of stream paths ``(K, L)``, times
-``(K,)`` and points ``(K, d)``.  For the whole group, each terminal and
-level block costs one :func:`~mlpicard.sampler.block_uniforms` call, one
-``ndtri`` call and one ``g`` or ``f`` call, and the children of a level
-block form two groups of ``K M**(depth-l)`` nodes.  Python therefore
-recurses over levels only: an n = M = 5 tree takes 78 block calls, where
-a node-by-node walk takes 14,026.  Each node keeps its own draws and its
-own means over its own samples, so the estimates are bit for bit those of
-a node-by-node recursion.
+group is a set of K nodes of one depth, held as arrays of stream paths
+``(K, L)``, times ``(K,)`` and points ``(K, d)``.  For the whole group,
+each terminal and level block costs one
+:func:`~mlpicard.sampler.block_uniforms` call, one ``ndtri`` call and one
+``g`` or ``f`` call.  A depth-n group has one child group per depth j =
+1..n-1: the depth-j "hi" children of its level-j samples, followed by the
+depth-j "lo" children of its level-(j+1) samples (the lo children of level
+1 have depth 0 and are the zero field).  Python therefore recurses over
+depths only: a depth-n estimate walks 2**(n-1) groups, and n = M = 5 takes
+47 block calls, where a node-by-node walk takes 14,026.  Each node keeps
+its own draws and its own means over its own samples, so the estimates are
+bit for bit those of a node-by-node recursion.
 
 Every group evaluates in one order: (1) draw its level blocks l >= 1, the
-ones with children, and form their child groups (l, hi) and (l-1, lo); (2)
-call g on the terminal block; (3) draw the level-0 block, the largest,
-call f on it at the zero field, add it into the running sums and free it;
-(4) evaluate the child groups in group order; (5) for l = 1..n-1 in level
-order, call f at the children's estimates and add into the running sums.
-Each node's sums take g, then level 0, 1, .., n-1, the order of a
-node-by-node walk, so every sum keeps its bits.  At the root of an
-estimate that costs at least ``FANOUT_MIN_DRAWS`` draws, step 4 fans out:
-the child groups' nodes are cut into one job per CPU the process may run
-on, balanced by their exact predicted draws (:func:`_plan`); the other
-jobs start on threads of their own before step 2, the calling thread runs
-job 0 at step 4, and each group's estimates are joined in job order.
-Nodes are independent and their streams disjoint, so the split changes no
-bit; each job counts its draws in a ledger of its own, added in job order.
-If anything raises under the fan-out, the threads are joined and the whole
-estimate is replayed on the calling thread, so the error raised is the one
-a one-thread run raises.
+ones with children, and form its child groups; (2) call g on the terminal
+block; (3) draw the level-0 block, the largest, call f on it at the zero
+field, add it into the running sums and free it; (4) evaluate the child
+groups in depth order; (5) for l = 1..n-1 in level order, call f at the
+children's estimates, the hi rows from group l and the lo rows from group
+l-1, and add into the running sums.  Each node's sums take g, then level
+0, 1, .., n-1, the order of a node-by-node walk, so every sum keeps its
+bits.  At the root of an estimate that costs at least
+``FANOUT_MIN_DRAWS`` draws, step 4 fans out: the child groups' nodes are
+cut into one job per CPU the process may run on, balanced by their exact
+predicted draws (:func:`_plan`); the other jobs start on threads of their
+own before step 2, the calling thread runs job 0 at step 4, and each
+group's estimates are joined in job order.  Nodes are independent and
+their streams disjoint, so the split changes no bit; each job counts its
+draws in a ledger of its own, added in job order.  If anything raises
+under the fan-out, the threads are joined and the whole estimate is
+replayed on the calling thread, so the error raised is the one a
+one-thread run raises.
 
 :func:`_estimates` evaluates K root nodes, each with its own time, point
 and stream path, as root groups of at most ``CHUNK_MAX_DRAWS`` predicted
-draws; :func:`evaluate` is its one-node case.  Below K roots every block
-has at most K M**n rows, and with at most n groups alive along the
-recursion working memory is O(n K M**n (1+d)) doubles.
+draws; :func:`evaluate` is its one-node case.  Below K depth-n roots a
+child group holds up to (1 + 1/M) times the nodes of one depth, so a block
+has at most K M**n (1 + 1/M)**((n-1)//2) rows; the recursion is at most n
+groups deep, so working memory is O(n K M**n (1 + 1/M)**((n-1)//2) (1+d))
+doubles.  Under glibc, block arrays of up to 2 MiB are reused from the
+heap, not mapped and faulted in afresh on every block (see the allocator
+warm-up below).
 
 Every ``g`` and ``f`` output is checked at the boundary: it must have one
 finite value per row, else :class:`CallbackContractError` names the stream
@@ -110,6 +116,14 @@ DEFAULT_COST_BUDGET = 1_000_000_000
 FANOUT_MIN_DRAWS = 1 << 18
 # Most predicted draws per _batch call of _estimates, bounding its memory.
 CHUNK_MAX_DRAWS = 1 << 22
+
+# glibc's malloc serves chunks above its mmap threshold (128 KiB at start)
+# with mmap and unmaps them on free, so each block's arrays would be faulted
+# in afresh.  Freeing one mmapped chunk raises the threshold to its size
+# (mallopt(3), M_MMAP_THRESHOLD): after this 2 MiB array, allocated and
+# freed at once, block arrays and the callbacks' temporaries are reused
+# from the heap.  Other allocators ignore it.
+np.empty(1 << 21, dtype=np.uint8)
 
 
 class QueryAtTerminalTime(ValueError):
@@ -298,17 +312,18 @@ def _batch(
     tau = (problem.horizon - t)[:, None]
 
     # 1. The level blocks l = 1..depth-1, whose samples have children, and
-    # the child groups at their samples: group 2l-2 is (l, hi), group 2l-1
-    # is (l-1, lo).
+    # one child group per depth j = 1..depth-1: the (j, hi) children of
+    # level j's samples, then the (j, lo) children of level j+1's.
     blocks = [_level_block(seed, paths, t, x, tau, e, level,
                            base ** (depth - level), ledger)
               for level in range(1, depth)]
     groups = []
-    for level, (_, rows, suffixes, _, _, s, _, xi) in enumerate(blocks, 1):
-        hi_paths = np.concatenate([rows, suffixes], axis=1)
-        lo_paths = hi_paths.copy()
-        lo_paths[:, -2] = -level
-        groups += [(level, hi_paths, s, xi), (level - 1, lo_paths, s, xi)]
+    for j in range(1, depth):
+        parts = [(np.concatenate([rows, suffixes], axis=1), s, xi)
+                 for _, rows, suffixes, _, _, s, _, xi in blocks[j - 1:j + 1]]
+        child_paths, s, xi = (np.concatenate(a) for a in zip(*parts))
+        child_paths[len(parts[0][1]):, -2] = -(j + 1)
+        groups.append((j, child_paths, s, xi))
     jobs = (_plan(groups, d, base, k * cost_rv(d, depth, base), workers)
             if workers > 1 and groups else [])
     pool = ThreadPoolExecutor(len(jobs) - 1) if len(jobs) > 1 else None
@@ -333,10 +348,13 @@ def _batch(
                 for i, estimates in done:
                     parts[i].append(estimates)
             fields = [np.concatenate(part) for part in parts]
-        # 5. f at the child estimates, level by level.
-        for level, block in enumerate(blocks, 1):
+        # 5. f at the child estimates, level by level: level l's hi rows
+        # head group l, its lo rows trail group l-1 (the zero field at l = 1).
+        lo = np.zeros((k * base ** (depth - 1), 1 + d)) if blocks else None
+        for block, field in zip(blocks, fields):
             _add_level(out, problem.nonlinearity, tau, e, block,
-                       np.concatenate(fields[2 * level - 2:2 * level]))
+                       np.concatenate([field[:k * block[0]], lo]))
+            lo = field[k * block[0]:]
     except Exception:
         if pool is None:
             raise
@@ -496,7 +514,7 @@ class RmseReport:
 
     rmse_value: float
     rmse_gradient_max: float
-    combined: float  # sqrt(mean value sq err + mean of per-coordinate means)
+    combined: float  # sqrt(value MSE + worst per-coordinate gradient MSE)
     samples: int
 
 

@@ -126,19 +126,26 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     return u
 
 
-def path_array(path: tuple[int, ...], name: str) -> np.ndarray:
-    """``path`` as a ``(1, L)`` int64 array of one stream path.
-
-    An entry that is not an integer within int64 (a ``bool`` is not one)
-    raises ``ValueError`` naming the argument ``name``: conversion alone
-    would truncate 1.5 to 1, so that two paths would share one stream.
-    """
-    path = tuple(path)
-    for entry in path:
+def _int64_array(value, name: str) -> np.ndarray:
+    """``value`` as an int64 array: an int64 array as it is, anything else
+    only if every entry is an integer within int64 (a ``bool`` is not one),
+    else ``ValueError`` naming the argument ``name``.  Conversion alone
+    would truncate 1.5 to 1, so that two paths would share one stream."""
+    if isinstance(value, np.ndarray) and value.dtype == np.int64:
+        return value
+    entries = np.asarray(value, dtype=object)
+    for entry in entries.flat:
         if not is_int64(entry):
             raise ValueError(
-                f"{name}={path!r}: entry {entry!r} is not an int64 integer")
-    return np.array(path, dtype=np.int64).reshape(1, -1)
+                f"{name}={value!r}: entry {entry!r} is not an int64 integer")
+    return entries.astype(np.int64)
+
+
+def path_array(path: tuple[int, ...], name: str) -> np.ndarray:
+    """``path`` as a ``(1, L)`` int64 array of one stream path; an entry
+    that is not an integer within int64 raises ``ValueError`` naming the
+    argument ``name``."""
+    return _int64_array(tuple(path), name).reshape(1, -1)
 
 
 def stream_uniforms(
@@ -177,14 +184,20 @@ def block_uniforms(
     its keys and then its ``(R, width)`` words are each computed in a fixed
     number of whole-array numpy passes, whatever R, L and ``width`` are.
 
+    An entry of ``base_path`` or ``suffixes`` that is not an integer within
+    int64 raises ``ValueError``, as in :func:`stream_uniforms`; int64
+    arrays, which the engine passes, are taken as they are.
+
     The engine makes one call per block of a whole node group (see
     :mod:`mlpicard.engine`): row ``k*m + i - 1`` is sample i of node k, at
-    path ``paths[k] + (a, +-i)``.  Such a call has at most M**n rows for a
-    depth-n estimate, so its path array and its ``(R, width)`` result stay
-    O(M**n (1+d)) in size.
+    path ``paths[k] + (a, +-i)``.  For a chunk of K depth-n roots such a
+    call has at most K M**n (1 + 1/M)**((n-1)//2) rows, and the chunk costs
+    at most ``CHUNK_MAX_DRAWS`` draws unless K = 1, so its path array and
+    its ``(R, width)`` result stay O(K M**n (1 + 1/M)**((n-1)//2) (1+d)) in
+    size.
     """
-    tail = np.asarray(suffixes, dtype=np.int64).reshape(-1, 2)
-    base = np.asarray(base_path, dtype=np.int64)
+    tail = _int64_array(suffixes, "suffixes").reshape(-1, 2)
+    base = _int64_array(base_path, "base_path")
     rows, length = len(tail), base.shape[-1] + 2
     paths = np.empty((rows, length), dtype=np.int64)
     paths[:, :-2] = base

@@ -145,6 +145,66 @@ def test_ledger_matches_cost_and_estimate_is_finite(d, n, base, seed, theta):
     assert np.all(np.isfinite(est.gradient))
 
 
+def _rows_g(n, base):
+    """g rows of one depth-n estimate: the query point, M^n terminal
+    samples and, per level-l sample, the hi and lo children's rows."""
+    return 0 if n == 0 else 1 + base**n + sum(
+        base ** (n - level) * (_rows_g(level, base) + _rows_g(level - 1, base))
+        for level in range(1, n))
+
+
+def _rows_f(n, base):
+    """f rows of one depth-n estimate: M^n at level 0 and, per level-l
+    sample, one row at each child plus the children's own rows."""
+    return 0 if n == 0 else base**n + sum(
+        base ** (n - level)
+        * (2 + _rows_f(level, base) + _rows_f(level - 1, base))
+        for level in range(1, n))
+
+
+@pytest.mark.parametrize("n, base", [(1, 3), (2, 2), (3, 3), (4, 2), (5, 5)])
+def test_one_group_per_depth_call_counts(monkeypatch, n, base):
+    # On one thread a depth-n group has one child group per depth 1..n-1,
+    # so an estimate walks 2^(n-1) groups, calls g once per group and f
+    # once per group and level: 2^n - 1 times.  Rows do not depend on how
+    # nodes are grouped.
+    monkeypatch.setattr(engine, "_workers", lambda: 1)
+    batch = engine._batch
+    groups = []
+
+    def counted(problem, config, depth, *args):
+        if depth > 0:
+            groups.append(depth)
+        return batch(problem, config, depth, *args)
+
+    monkeypatch.setattr(engine, "_batch", counted)
+    calls = {"g": [], "f": []}
+    problem = _sine_problem(3)
+    g, f = problem.terminal_data, problem.nonlinearity
+
+    def g_counted(x):
+        calls["g"].append(len(x))
+        return g(x)
+
+    def f_counted(t, x, y, z):
+        calls["f"].append(len(t))
+        return f(t, x, y, z)
+
+    problem = replace(problem, terminal_data=g_counted,
+                      nonlinearity=f_counted)
+    est = evaluate(problem, MlpConfig(depth=n, base=base), 0.25,
+                   np.linspace(-0.4, 0.6, 3))
+    assert est.draws == cost_rv(3, n, base)
+    assert len(groups) == len(calls["g"]) == 2 ** (n - 1)
+    assert len(calls["f"]) == 2**n - 1
+    assert sum(calls["g"]) == _rows_g(n, base)
+    assert sum(calls["f"]) == _rows_f(n, base)
+
+
+def test_row_recursions_known_values():
+    assert (_rows_g(5, 5), _rows_f(5, 5)) == (64_286, 69_785)
+
+
 def test_depth_invariance_when_nonlinearity_vanishes():
     # With f = 0 every level block contributes exactly zero and, at M = 1,
     # the terminal block reuses the same single stream at every depth, so

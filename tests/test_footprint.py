@@ -1,16 +1,25 @@
-"""Import footprint: the solver loads ``scipy.special`` and no other public
-scipy subpackage.
+"""Process footprint: what the solver imports and what its estimates fault
+in.
 
 ``scipy.stats`` (the sampler's KS check) and ``scipy.integrate`` (iterated
 integral quadrature) cost more to import than a point-deep estimate costs to
-run, so they are imported inside the two functions that use them.  The
-check runs in a fresh interpreter, because the test process has loaded
-other scipy subpackages already.
+run, so they are imported inside the two functions that use them, and the
+solver loads ``scipy.special`` and no other public scipy subpackage.
+
+Under glibc, a warm point-deep estimate reuses heap memory for its block
+arrays instead of mapping and faulting in fresh pages for each block.
+
+Both checks run in a fresh interpreter, because the test process has
+loaded other scipy subpackages already and may have raised glibc's mmap
+threshold already.
 """
 
+import platform
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 SCRIPT = textwrap.dedent("""
     import os
@@ -79,3 +88,37 @@ def test_solver_loads_only_scipy_special():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "ok"
+
+
+FAULTS = textwrap.dedent("""
+    import resource
+
+    import numpy as np
+
+    from mlpicard import MlpConfig, builtin_case, evaluate
+
+    problem = builtin_case("grad-dependent-sine", dimension=10).problem
+    x = np.linspace(-0.4, 0.6, 10)
+
+    def estimates(seeds):
+        for seed in seeds:
+            evaluate(problem, MlpConfig(depth=5, base=5, root_seed=seed),
+                     0.25, x)
+
+    estimates(range(3))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    estimates(range(3, 8))
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the mmap threshold is glibc's")
+def test_warm_point_deep_estimates_fault_in_no_block_arrays():
+    # Without the engine's allocator warm-up, every block array of 128 KiB
+    # or more is mapped, faulted in and unmapped again: about 7,500 minor
+    # faults per point-deep estimate (d = 10, n = M = 5).
+    done = subprocess.run([sys.executable, "-c", FAULTS],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 100

@@ -114,6 +114,28 @@ def test_non_integer_root_seed_rejected(seed):
         stream_uniforms(seed, (1,), 4)
 
 
+@pytest.mark.parametrize("base, suffix, name", [
+    ((1.5,), (0, 1), "base_path"),
+    ((True,), (0, 1), "base_path"),
+    (np.array([1.5]), (0, 1), "base_path"),
+    (np.array([[2**63]], dtype=np.uint64), (0, 1), "base_path"),
+    ((1,), (0, 1.5), "suffixes"),
+])
+def test_block_uniforms_rejects_non_integer_paths(base, suffix, name):
+    # int64 conversion would truncate (1.5,) to (1,), so the row would
+    # silently read the stream of another path.
+    with pytest.raises(ValueError, match=name):
+        block_uniforms(0, base, [suffix], 3)
+
+
+def test_block_uniforms_accepts_integer_arrays_of_any_dtype():
+    expected = stream_uniforms(0, (1, 0, 1), 3)
+    for base in ((1,), np.array([1], dtype=np.uint8),
+                 np.array([[1]], dtype=np.int64)):
+        assert np.array_equal(block_uniforms(0, base, [(0, 1)], 3)[0],
+                              expected)
+
+
 def test_numpy_integer_path_entries_accepted():
     assert np.array_equal(stream_uniforms(3, (np.int64(1), np.uint8(2)), 4),
                           stream_uniforms(3, (1, 2), 4))
