@@ -27,7 +27,14 @@ group is a set of K nodes of one depth, held as arrays of stream paths
 ``(K, L)``, times ``(K,)`` and points ``(K, d)``.  For the whole group,
 each terminal and level block costs one
 :func:`~mlpicard.sampler.block_uniforms` call, one ``ndtri`` call and one
-``g`` or ``f`` call.  A depth-n group has one child group per depth j =
+``g`` or ``f`` call.  The block call takes the K node paths and one
+suffix per sample row, so no path is repeated per row; only the level
+blocks l >= 1 build their children's full paths.  The two gradient sums
+of a block, over each node's m samples of weight times score, take one
+``einsum`` pass for d >= 2 (:func:`_weighted_sum`), with the bits of
+numpy's broadcast-and-sum.  At d = 1 numpy sums the length-1 axis
+pairwise and einsum does not, so the broadcast sum stays there.  A
+depth-n group has one child group per depth j =
 1..n-1: the depth-j "hi" children of its level-j samples, followed by the
 depth-j "lo" children of its level-(j+1) samples (the lo children of level
 1 have depth 0 and are the zero field).  Python therefore recurses over
@@ -42,7 +49,9 @@ block; (3) draw the level-0 block, the largest, call f on it at the zero
 field, add it into the running sums and free it; (4) evaluate the child
 groups in depth order; (5) for l = 1..n-1 in level order, call f at the
 children's estimates, the hi rows from group l and the lo rows from group
-l-1, and add into the running sums.  Each node's sums take g, then level
+l-1, and add into the running sums.  Step 5 reads level l's times and
+points from the head of group l, their only copy, and keeps only (r, Z,
+sqrt((T - t) r)) of each level block from step 1.  Each node's sums take g, then level
 0, 1, .., n-1, the order of a node-by-node walk, so every sum keeps its
 bits.  At the root of an estimate that costs at least
 ``FANOUT_MIN_DRAWS`` draws, step 4 fans out: the child groups' nodes are
@@ -79,6 +88,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -116,6 +126,9 @@ DEFAULT_COST_BUDGET = 1_000_000_000
 FANOUT_MIN_DRAWS = 1 << 18
 # Most predicted draws per _batch call of _estimates, bounding its memory.
 CHUNK_MAX_DRAWS = 1 << 22
+# Rows up to which a block's stream suffixes come from a cache (at most 64
+# arrays of 4 KiB): building them costs about a tenth of a small block.
+_CACHED_SUFFIX_ROWS = 256
 
 # glibc's malloc serves chunks above its mmap threshold (128 KiB at start)
 # with mmap and unmaps them on free, so each block's arrays would be faulted
@@ -254,19 +267,48 @@ def _estimates(problem, config, t, x, paths, budget=None):
     return out, ledger.scalar_draws
 
 
-def _rows(paths: np.ndarray, a: int, m: int, sign: int):
-    """Base paths and suffixes ``(a, sign * i)``, i = 1..m, of the m sample
-    streams of every node in a group: node k owns rows k*m .. k*m + m-1."""
-    suffixes = np.empty((len(paths), m, 2), dtype=np.int64)
+def _suffixes(k: int, a: int, m: int, sign: int) -> np.ndarray:
+    """Suffixes ``(a, sign * i)``, i = 1..m, of the m sample streams of each
+    of k nodes: node k owns rows k*m .. k*m + m-1.  Blocks of at most
+    ``_CACHED_SUFFIX_ROWS`` rows share one read-only array per shape."""
+    if k * m <= _CACHED_SUFFIX_ROWS:
+        return _cached_suffixes(k, a, m, sign)
+    return _new_suffixes(k, a, m, sign)
+
+
+def _new_suffixes(k: int, a: int, m: int, sign: int) -> np.ndarray:
+    suffixes = np.empty((k, m, 2), dtype=np.int64)
     suffixes[:, :, 0] = a
     suffixes[:, :, 1] = np.arange(sign, sign * (m + 1), sign)
-    return paths.repeat(m, axis=0), suffixes.reshape(-1, 2)
+    return suffixes.reshape(-1, 2)
+
+
+@lru_cache(maxsize=64)
+def _cached_suffixes(k: int, a: int, m: int, sign: int) -> np.ndarray:
+    suffixes = _new_suffixes(k, a, m, sign)
+    suffixes.flags.writeable = False
+    return suffixes
 
 
 def _path(paths: np.ndarray, j: int, suffixes: np.ndarray | None = None):
-    """Stream path of row ``j``: ``paths[j]``, extended by ``suffixes[j]``."""
-    tail = () if suffixes is None else tuple(suffixes[j].tolist())
-    return tuple(paths[j].tolist()) + tail
+    """Stream path of row ``j``: ``paths[j]``, or, for a block of m rows per
+    node of ``paths``, node ``j // m``'s path extended by ``suffixes[j]``."""
+    if suffixes is None:
+        return tuple(paths[j].tolist())
+    m = len(suffixes) // len(paths)
+    return tuple(paths[j // m].tolist()) + tuple(suffixes[j].tolist())
+
+
+def _weighted_sum(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``(w[:, :, None] * z).sum(axis=1)`` for ``(K, m)`` weights and ``(K,
+    m, d)`` scores, bit for bit.  For d >= 2 one einsum pass gives the
+    reduction's bits (a tier-1 test checks this), without its ``(K, m, d)``
+    temporary and its inner loops only d long.  At d = 1 numpy sums the
+    length-1 inner axis pairwise and einsum does not, so the broadcast sum
+    stays."""
+    if z.shape[2] == 1:
+        return (w[:, :, None] * z).sum(axis=1)
+    return np.einsum("km,kmd->kd", w, z)
 
 
 def _checked(name: str, values, count: int, path_of) -> np.ndarray:
@@ -313,17 +355,21 @@ def _batch(
 
     # 1. The level blocks l = 1..depth-1, whose samples have children, and
     # one child group per depth j = 1..depth-1: the (j, hi) children of
-    # level j's samples, then the (j, lo) children of level j+1's.
+    # level j's samples, then the (j, lo) children of level j+1's.  Level
+    # l's times and points stay only in the head of group l (and the tail
+    # of group l-1), where step 5 reads them.
     blocks = [_level_block(seed, paths, t, x, tau, e, level,
                            base ** (depth - level), ledger)
               for level in range(1, depth)]
     groups = []
     for j in range(1, depth):
-        parts = [(np.concatenate([rows, suffixes], axis=1), s, xi)
-                 for _, rows, suffixes, _, _, s, _, xi in blocks[j - 1:j + 1]]
+        parts = [(np.concatenate([paths.repeat(len(s) // k, axis=0), suffixes],
+                                 axis=1), s, xi)
+                 for _, s, xi, suffixes in blocks[j - 1:j + 1]]
         child_paths, s, xi = (np.concatenate(a) for a in zip(*parts))
         child_paths[len(parts[0][1]):, -2] = -(j + 1)
         groups.append((j, child_paths, s, xi))
+    blocks = [weights for weights, _, _, _ in blocks]
     jobs = (_plan(groups, d, base, k * cost_rv(d, depth, base), workers)
             if workers > 1 and groups else [])
     pool = ThreadPoolExecutor(len(jobs) - 1) if len(jobs) > 1 else None
@@ -334,7 +380,7 @@ def _batch(
         # drawn, used and freed before any child group is evaluated.
         _terminal(out, problem.terminal_data, seed, paths, x, tau,
                   base**depth, ledger)
-        _add_level(out, problem.nonlinearity, tau, e, _level_block(
+        _add_level(out, problem.nonlinearity, paths, tau, e, *_level_block(
             seed, paths, t, x, tau, e, 0, base**depth, ledger))
         # 4. The child groups, in group order.
         if pool is None:
@@ -350,11 +396,16 @@ def _batch(
             fields = [np.concatenate(part) for part in parts]
         # 5. f at the child estimates, level by level: level l's hi rows
         # head group l, its lo rows trail group l-1 (the zero field at l = 1).
+        # The sample at row j of level l >= 1 has its hi child's path, row j
+        # of group l.
         lo = np.zeros((k * base ** (depth - 1), 1 + d)) if blocks else None
-        for block, field in zip(blocks, fields):
-            _add_level(out, problem.nonlinearity, tau, e, block,
-                       np.concatenate([field[:k * block[0]], lo]))
-            lo = field[k * block[0]:]
+        for weights, (_, child_paths, s, xi), field in zip(blocks, groups,
+                                                          fields):
+            count = weights[0].size
+            _add_level(out, problem.nonlinearity, child_paths, tau, e,
+                       weights, s[:count], xi[:count], None,
+                       np.concatenate([field[:count], lo]))
+            lo = field[count:]
     except Exception:
         if pool is None:
             raise
@@ -376,14 +427,14 @@ def _terminal(out, g, seed, paths, x, tau, m, ledger):
     query points followed by the samples."""
     k, d = x.shape
     sqrt_tau = np.sqrt(tau)
-    rows, suffixes = _rows(paths, 0, m, -1)
-    z = ndtri(block_uniforms(seed, rows, suffixes, d, ledger).reshape(
+    suffixes = _suffixes(k, 0, m, -1)
+    z = ndtri(block_uniforms(seed, paths, suffixes, d, ledger).reshape(
         k, m, d))
     points = np.concatenate(
         [x, (x[:, None, :] + sqrt_tau[:, :, None] * z).reshape(-1, d)])
     gv = _checked("g", g(points), k + k * m,
                   lambda j: _path(paths, j) if j < k
-                  else _path(rows, j - k, suffixes))
+                  else _path(paths, j - k, suffixes))
     g_at_x = gv[:k]
     dg = gv[k:].reshape(k, m) - g_at_x[:, None]
     # Means as sum / m: np.mean's own arithmetic, without its call overhead.
@@ -391,49 +442,52 @@ def _terminal(out, g, seed, paths, x, tau, m, ledger):
     # The score Z / sqrt(T - t) -> 0 where a node sits at the horizon
     # (a sample time that rounded onto T), instead of 0/0: its exact
     # gradient is 0 there.
-    np.divide((dg[:, :, None] * z).sum(axis=1) / m, sqrt_tau, out=out[:, 1:],
+    np.divide(_weighted_sum(dg, z) / m, sqrt_tau, out=out[:, 1:],
               where=sqrt_tau > 0)
 
 
-def _add_level(out, f, tau, e, block, field=None):
+def _add_level(out, f, paths, tau, e, weights, s, xi, suffixes, field=None):
     """Add a level block's weighted means of f into the running sums
-    ``out``.  Without ``field`` (level 0) f is called at the zero field;
-    else one f call takes the block's rows at the depth-l estimates, the
-    first half of ``field``, then the same rows at the depth-(l-1) ones,
-    the second half, and the difference is used."""
-    m, rows, suffixes, r, z, s, root, xi = block
+    ``out``.  ``weights`` is the block's ``(r, z, root)``, ``s`` and ``xi``
+    its sample times and points, and sample row j has stream path
+    ``_path(paths, j, suffixes)``.  Without ``field`` (level 0) f is called
+    at the zero field; else one f call takes the block's rows at the
+    depth-l estimates, the first half of ``field``, then the same rows at
+    the depth-(l-1) ones, the second half, and the difference is used."""
+    r, z, root = weights
     count = r.size
     if field is None:
         fv = _checked("f", f(s, xi, np.zeros(count),
                              np.zeros((count, xi.shape[1]))),
-                      count, lambda j: _path(rows, j, suffixes))
+                      count, lambda j: _path(paths, j, suffixes))
     else:
         fv = _checked("f", f(np.concatenate([s, s]), np.concatenate([xi, xi]),
                              field[:, 0], field[:, 1:]),
-                      2 * count, lambda j: _path(rows, j % count, suffixes))
+                      2 * count, lambda j: _path(paths, j % count, suffixes))
         fv = fv[:count] - fv[count:]
     w = _time_weight(r, tau, e) * fv.reshape(r.shape)
+    m = r.shape[1]
     out[:, 0] += w.sum(axis=1) / m
     # w / root -> 0 where r underflowed to 0 (e near 0): the integrand's
     # limit for e < 1/2, instead of 0/0.
     ratio = np.divide(w, root, out=np.zeros(w.shape), where=root > 0)
-    out[:, 1:] += (ratio[:, :, None] * z).sum(axis=1) / m
+    out[:, 1:] += _weighted_sum(ratio, z) / m
 
 
 def _level_block(seed, paths, t, x, tau, e, level, m, ledger):
-    """Level-``level`` block of a group: m samples (r, Z) per node, with
-    their stream rows and suffixes, times s, sqrt((T - t) r) and points xi.
-    """
+    """Level-``level`` block of a group, m samples (r, Z) per node: its
+    ``(r, z, root)`` for :func:`_add_level`, with root = sqrt((T - t) r),
+    its sample times s and points xi, and its stream suffixes."""
     k, d = x.shape
-    rows, suffixes = _rows(paths, level, m, 1)
-    u = block_uniforms(seed, rows, suffixes, 1 + d, ledger).reshape(
+    suffixes = _suffixes(k, level, m, 1)
+    u = block_uniforms(seed, paths, suffixes, 1 + d, ledger).reshape(
         k, m, 1 + d)
     r = u[:, :, 0] ** (1.0 / e)
     z = ndtri(u[:, :, 1:])
     s = (t[:, None] + tau * r).reshape(-1)
     root = np.sqrt(tau * r)
     xi = (x[:, None, :] + root[:, :, None] * z).reshape(-1, d)
-    return m, rows, suffixes, r, z, s, root, xi
+    return (r, z, root), s, xi, suffixes
 
 
 def _workers() -> int:

@@ -20,6 +20,10 @@ finalizer.  The salts ``s_j`` and the odd multipliers ``a_j`` and
 ``a_seed`` come from one SHAKE-256 digest per path *length*, not one per
 stream, so a whole block of streams costs a fixed number of numpy passes
 (:func:`block_uniforms`; :func:`stream_uniforms` is its one-row case).
+The key sum is a mod-2**64 sum, so it may be regrouped without changing
+a bit: a block of K nodes with m streams each, at paths ``node_k + (a,
+b)``, sums each node's terms once and adds the two suffix terms per
+stream, and never forms its ``(K m, L + 2)`` array of full paths.
 Because every ``a_j`` is odd, two paths of one length that differ in a
 single position have different keys.  The generator is statistical, not
 cryptographic: it is built to pass the sampler's distribution tests, not
@@ -100,20 +104,44 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _words(root_seed: int, paths: np.ndarray, width: int) -> np.ndarray:
-    """First ``width`` 64-bit words of the stream of each row of ``paths``,
-    an ``(R, L)`` int64 array that this call overwrites."""
-    paths = paths.view(np.uint64)
-    salts, mults, seed_mult = _length_constants(paths.shape[1])
-    paths ^= salts
-    paths *= mults
-    # Python-int arithmetic: a numpy-scalar overflow would warn on every call.
-    # np.int64 rejects a seed outside int64.
+@lru_cache(maxsize=64)
+def _key_constants(root_seed: int, length: int, split: int) -> tuple:
+    """Constants of the key sums of paths of ``length`` entries under
+    ``root_seed``: the seed term ``root_seed * a_seed`` mod 2**64, then the
+    salts and multipliers of entries ``[:split]`` and of ``[split:]``."""
+    salts, mults, seed_mult = _length_constants(length)
+    # Python-int arithmetic: a numpy-scalar overflow would warn.  np.int64
+    # rejects a seed outside int64.
     seed_term = np.uint64((int(np.int64(root_seed)) * seed_mult) & _MASK)
-    key = _mix64(np.add.reduce(paths, axis=1, initial=seed_term))
+    return (seed_term, salts[:split], mults[:split], salts[split:],
+            mults[split:])
+
+
+def _node_keys(paths: np.ndarray, seed_term: np.uint64, salts: np.ndarray,
+               mults: np.ndarray) -> np.ndarray:
+    """Unmixed key sums of the rows of the ``(K, L)`` int64 ``paths`` over
+    their L entries: ``seed_term`` plus ``(p_j XOR s_j) * a_j`` mod 2**64,
+    with ``salts`` s_j and ``mults`` a_j."""
+    # Not in place: numpy runs in-place ufuncs on one-element arrays, such
+    # as the node of a root (K = L = 1), about twice as slowly.
+    terms = (paths.view(np.uint64) ^ salts) * mults
+    return np.add.reduce(terms, axis=1, initial=seed_term)
+
+
+@lru_cache(maxsize=32)
+def _steps(width: int) -> np.ndarray:
+    """``i * gamma`` mod 2**64 for i = 1..``width``, read-only."""
     steps = np.arange(1, width + 1, dtype=np.uint64)
     steps *= _GAMMA
-    return _mix64(np.add.outer(key, steps))
+    steps.flags.writeable = False
+    return steps
+
+
+def _words(keys: np.ndarray, width: int) -> np.ndarray:
+    """First ``width`` 64-bit words of the stream of each unmixed key sum in
+    ``keys``, which this call overwrites: row j is
+    ``mix64(mix64(keys[j]) + i * gamma)``, i = 1..``width``."""
+    return _mix64(np.add.outer(_mix64(keys), _steps(width)))
 
 
 def _to_uniform(words: np.ndarray) -> np.ndarray:
@@ -165,7 +193,10 @@ def stream_uniforms(
         raise ValueError(f"root_seed={root_seed!r} is not an int64 integer")
     if n < 0:
         raise ValueError("draw count must be nonnegative")
-    return _to_uniform(_words(root_seed, path_array(path, "path"), n))[0]
+    paths = path_array(path, "path")
+    length = paths.shape[1]
+    keys = _node_keys(paths, *_key_constants(root_seed, length, length)[:3])
+    return _to_uniform(_words(keys, n))[0]
 
 
 def block_uniforms(
@@ -175,34 +206,52 @@ def block_uniforms(
     width: int,
     ledger: DrawLedger | None = None,
 ) -> np.ndarray:
-    """First ``width`` uniforms of each stream ``base_path + suffix``.
+    """First ``width`` uniforms of each stream ``base + suffix``.
 
-    ``suffixes`` holds R pairs ``(a, b)``.  ``base_path`` is either one path
-    shared by every row or an ``(R, L)`` int64 array giving row ``j`` its
-    own base path.  Row ``j`` equals ``stream_uniforms(root_seed, base_j +
-    suffixes[j], width)``.  The R full paths form one ``(R, L + 2)`` array;
-    its keys and then its ``(R, width)`` words are each computed in a fixed
-    number of whole-array numpy passes, whatever R, L and ``width`` are.
+    ``suffixes`` holds R pairs ``(a, b)``, one per row.  ``base_path`` is
+    one path or a ``(K, L)`` array of K node paths, K dividing R: with
+    m = R / K, row ``j`` equals ``stream_uniforms(root_seed, base[j // m]
+    + suffixes[j], width)``.  One path is the case K = 1; K = R gives each
+    row its own base path.  Any other K raises ``ValueError`` naming
+    ``base_path``.
+
+    No ``(R, L + 2)`` path array is built.  The key sum of a path splits
+    into a node term, over its first L entries, and a suffix term, over
+    its last two (see the module docstring): each node term is summed once,
+    for its m rows, and row j's key is ``mix64(node[j // m] + tail[j])``,
+    the same mod-2**64 sum regrouped.  The keys and then the ``(R,
+    width)`` words each take a fixed number of whole-array numpy passes,
+    whatever K, R, L and ``width`` are.
 
     An entry of ``base_path`` or ``suffixes`` that is not an integer within
     int64 raises ``ValueError``, as in :func:`stream_uniforms`; int64
     arrays, which the engine passes, are taken as they are.
 
     The engine makes one call per block of a whole node group (see
-    :mod:`mlpicard.engine`): row ``k*m + i - 1`` is sample i of node k, at
-    path ``paths[k] + (a, +-i)``.  For a chunk of K depth-n roots such a
-    call has at most K M**n (1 + 1/M)**((n-1)//2) rows, and the chunk costs
-    at most ``CHUNK_MAX_DRAWS`` draws unless K = 1, so its path array and
-    its ``(R, width)`` result stay O(K M**n (1 + 1/M)**((n-1)//2) (1+d)) in
-    size.
+    :mod:`mlpicard.engine`), with the group's node paths: row ``k*m + i -
+    1`` is sample i of node k, at path ``paths[k] + (a, +-i)``.  For a chunk
+    of K depth-n roots such a call has at most K M**n (1 + 1/M)**((n-1)//2)
+    rows, and the chunk costs at most ``CHUNK_MAX_DRAWS`` draws unless K =
+    1, so its ``(R, width)`` result stays O(K M**n (1 + 1/M)**((n-1)//2)
+    (1+d)) in size.
     """
     tail = _int64_array(suffixes, "suffixes").reshape(-1, 2)
     base = _int64_array(base_path, "base_path")
-    rows, length = len(tail), base.shape[-1] + 2
-    paths = np.empty((rows, length), dtype=np.int64)
-    paths[:, :-2] = base
-    paths[:, -2:] = tail
+    if base.ndim == 1:
+        base = base.reshape(1, -1)
+    rows, nodes = len(tail), len(base)
+    m = rows // nodes if nodes else 0
+    if nodes * m != rows:
+        raise ValueError(
+            f"base_path has {nodes} paths, which does not divide the "
+            f"{rows} suffixes")
+    seed_term, salts, mults, tail_salts, tail_mults = _key_constants(
+        root_seed, base.shape[1] + 2, base.shape[1])
+    terms = tail.view(np.uint64) ^ tail_salts
+    terms *= tail_mults
+    keys = terms[:, 0] + terms[:, 1]
+    per_node = keys.reshape(nodes, m)
+    per_node += _node_keys(base, seed_term, salts, mults)[:, None]
     if ledger is not None:
         ledger.add(rows * width)
-    return _to_uniform(_words(root_seed, paths, width))
-
+    return _to_uniform(_words(keys, width))

@@ -266,6 +266,22 @@ def test_evaluate_known_answers():
     assert answer(est) == known["theta"]
 
 
+def test_weighted_sum_keeps_the_broadcast_sums_bits():
+    # The gradient sums take einsum for d >= 2 and the broadcast sum at
+    # d = 1, where numpy sums the length-1 axis pairwise and einsum does
+    # not.  A numpy whose einsum adds in another order or fuses the
+    # multiply-add fails here, not only as a known-answer mismatch.
+    rng = np.random.default_rng(17)
+    for k in (1, 4):
+        for m in (1, 8, 3125):
+            for d in (1, 2, 10, 100):
+                w = rng.standard_normal((k, m))
+                z = rng.standard_normal((k, m, d))
+                expected = (w[:, :, None] * z).sum(axis=1)
+                assert engine._weighted_sum(w, z).tobytes() == \
+                    expected.tobytes(), (k, m, d)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_small_time_exponent_gives_finite_estimates():
     # At e = 0.01, r = u**(1/e) underflows to 0 for some level samples, so

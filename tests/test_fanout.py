@@ -197,6 +197,45 @@ def test_fanout_error_names_the_one_thread_row(monkeypatch, case, workers):
     assert messages[0].startswith(f"{callback} returned non-finite value nan")
 
 
+@pytest.mark.parametrize("callback", ["g", "f"])
+def test_error_names_a_later_node_of_a_child_group(monkeypatch, callback):
+    # g fails at terminal sample 3 of the node reached by (3, 2) then
+    # (-2, 4), node 758 of its depth-1 group; f fails at level-0 sample 2
+    # of the node reached by (1, 4), node 3 of the root's depth-1 group.
+    # A block row j belongs to node j // m, so the path named is that
+    # node's path + (0, -i) for g and + (0, i) for f, on one thread and
+    # under the fan-out alike.
+    d, seed, theta = 3, 5, (0,)
+    problem, config = _sine(d), MlpConfig(depth=5, base=5, root_seed=seed)
+    x0 = np.linspace(-0.4, 0.6, d)
+    e = config.time_cdf_exponent
+    g, f = problem.terminal_data, problem.nonlinearity
+    if callback == "g":
+        node = ((3, 2), (-2, 4))
+        expected = theta + sum(node, ()) + (0, -3)
+        t_node, x_node = _replay(seed, theta, 0.25, x0, problem.horizon, e,
+                                 node)
+        x_bad = x_node + np.sqrt(problem.horizon - t_node) * ndtri(
+            stream_uniforms(seed, expected, d))
+        problem = replace(problem, terminal_data=lambda x: np.where(
+            np.all(x == x_bad, axis=1), np.nan, g(x)))
+    else:
+        node = ((1, 4),)
+        expected = theta + sum(node, ()) + (0, 2)
+        s_bad, x_bad = _replay(seed, theta, 0.25, x0, problem.horizon, e,
+                               node + ((0, 2),))
+        problem = replace(problem, nonlinearity=lambda t, x, y, z: np.where(
+            (t == s_bad) & np.all(x == x_bad, axis=1), np.nan, f(t, x, y, z)))
+    assert cost_rv(d, 5, 5) >= engine.FANOUT_MIN_DRAWS
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "_workers", lambda: workers)
+        with pytest.raises(CallbackContractError) as excinfo:
+            evaluate(problem, config, 0.25, x0, theta=theta)
+        message = str(excinfo.value)
+        assert message.startswith(f"{callback} returned non-finite value nan")
+        assert f"at stream path {expected}" in message, workers
+
+
 def test_plan_cuts_nodes_into_balanced_jobs():
     # The root's children at d = 10, n = M = 5.  The root's own blocks are
     # 5.8% of its draws and fall to the calling thread, so with two workers

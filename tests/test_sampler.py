@@ -173,7 +173,9 @@ def _level_branch_block(width):
                                     np.arange(1, 6), np.arange(1, 5**5 + 1),
                                     indexing="ij")
     paths = np.stack([c, sign * level, i], axis=-1).reshape(-1, 3)
-    words = sampler._words(2024, paths.astype(np.int64), width)
+    keys = sampler._node_keys(paths.astype(np.int64),
+                              *sampler._key_constants(2024, 3, 3)[:3])
+    words = sampler._words(keys, width)
     return words.reshape(c.shape + (width,))
 
 
@@ -226,6 +228,37 @@ def test_block_uniforms_rows_match_per_stream_draws(seed, base, suffixes,
     for j, suffix in enumerate(suffixes):
         path = tuple(own[j].tolist()) + suffix
         assert np.array_equal(block[j], stream_uniforms(seed, path, width))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=INT64, length=st.integers(0, 3), m1=st.integers(2, 3),
+       m2=st.integers(2, 3), width=st.integers(0, 5), data=st.data())
+def test_block_uniforms_node_paths_match_per_stream_draws(seed, length, m1,
+                                                          m2, width, data):
+    # K node paths for R = K m rows: row j reads node j // m's path.  K = 1
+    # is the shared-path form, K = R the per-row form, and K = m1 a proper
+    # divisor of R in between.
+    rows = m1 * m2
+    paths = np.array(data.draw(st.lists(
+        st.lists(INT64, min_size=length, max_size=length),
+        min_size=rows, max_size=rows)), dtype=np.int64).reshape(rows, length)
+    suffixes = data.draw(st.lists(st.tuples(INT64, INT64), min_size=rows,
+                                  max_size=rows))
+    for nodes in (1, m1, rows):
+        block = block_uniforms(seed, paths[:nodes], suffixes, width)
+        assert block.shape == (rows, width)
+        m = rows // nodes
+        for j, suffix in enumerate(suffixes):
+            path = tuple(paths[j // m].tolist()) + suffix
+            assert np.array_equal(block[j],
+                                  stream_uniforms(seed, path, width))
+
+
+@pytest.mark.parametrize("nodes, rows", [(2, 3), (4, 2), (3, 5)])
+def test_block_uniforms_rejects_node_count_not_dividing_rows(nodes, rows):
+    base = np.zeros((nodes, 1), dtype=np.int64)
+    with pytest.raises(ValueError, match="base_path"):
+        block_uniforms(0, base, [(0, i + 1) for i in range(rows)], 3)
 
 
 def test_top_word_maps_below_one():
