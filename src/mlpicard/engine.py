@@ -126,8 +126,8 @@ DEFAULT_COST_BUDGET = 1_000_000_000
 FANOUT_MIN_DRAWS = 1 << 18
 # Most predicted draws per _batch call of _estimates, bounding its memory.
 CHUNK_MAX_DRAWS = 1 << 22
-# Rows up to which a block's stream suffixes come from a cache (at most 64
-# arrays of 4 KiB): building them costs about a tenth of a small block.
+# Rows up to which a block's stream suffixes are built once per shape and
+# shared: the cache holds at most 64 arrays of 4 KiB, whatever the estimate.
 _CACHED_SUFFIX_ROWS = 256
 
 # glibc's malloc serves chunks above its mmap threshold (128 KiB at start)
@@ -267,16 +267,15 @@ def _estimates(problem, config, t, x, paths, budget=None):
     return out, ledger.scalar_draws
 
 
-def _suffixes(k: int, a: int, m: int, sign: int) -> np.ndarray:
+def _suffixes(k: int, a: int, m: int, sign: int,
+              cached: bool = True) -> np.ndarray:
     """Suffixes ``(a, sign * i)``, i = 1..m, of the m sample streams of each
-    of k nodes: node k owns rows k*m .. k*m + m-1.  Blocks of at most
-    ``_CACHED_SUFFIX_ROWS`` rows share one read-only array per shape."""
-    if k * m <= _CACHED_SUFFIX_ROWS:
+    of k nodes: node k owns rows k*m .. k*m + m-1.  A block of at most
+    ``_CACHED_SUFFIX_ROWS`` rows gets one read-only array per shape, unless
+    ``cached`` is false.  Table-shallow, whose blocks are tiny, makes 4.6%
+    more estimates per second with the cache (``BENCH_node_keys.json``)."""
+    if cached and k * m <= _CACHED_SUFFIX_ROWS:
         return _cached_suffixes(k, a, m, sign)
-    return _new_suffixes(k, a, m, sign)
-
-
-def _new_suffixes(k: int, a: int, m: int, sign: int) -> np.ndarray:
     suffixes = np.empty((k, m, 2), dtype=np.int64)
     suffixes[:, :, 0] = a
     suffixes[:, :, 1] = np.arange(sign, sign * (m + 1), sign)
@@ -285,7 +284,7 @@ def _new_suffixes(k: int, a: int, m: int, sign: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _cached_suffixes(k: int, a: int, m: int, sign: int) -> np.ndarray:
-    suffixes = _new_suffixes(k, a, m, sign)
+    suffixes = _suffixes(k, a, m, sign, cached=False)
     suffixes.flags.writeable = False
     return suffixes
 
@@ -305,7 +304,14 @@ def _weighted_sum(w: np.ndarray, z: np.ndarray) -> np.ndarray:
     reduction's bits (a tier-1 test checks this), without its ``(K, m, d)``
     temporary and its inner loops only d long.  At d = 1 numpy sums the
     length-1 inner axis pairwise and einsum does not, so the broadcast sum
-    stays."""
+    stays.
+
+    The d >= 2 equality holds while einsum's sum-of-products kernel rounds
+    each product before adding it; it was checked with numpy 2.4.6 on
+    x86-64.  A numpy whose einsum fuses multiply and add (its SIMD kernel on
+    aarch64, or a build whose baseline includes FMA3) changes the bits of
+    every d >= 2 gradient, and
+    ``test_weighted_sum_keeps_the_broadcast_sums_bits`` fails."""
     if z.shape[2] == 1:
         return (w[:, :, None] * z).sum(axis=1)
     return np.einsum("km,kmd->kd", w, z)

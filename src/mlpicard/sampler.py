@@ -104,27 +104,18 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-@lru_cache(maxsize=64)
-def _key_constants(root_seed: int, length: int, split: int) -> tuple:
-    """Constants of the key sums of paths of ``length`` entries under
-    ``root_seed``: the seed term ``root_seed * a_seed`` mod 2**64, then the
-    salts and multipliers of entries ``[:split]`` and of ``[split:]``."""
-    salts, mults, seed_mult = _length_constants(length)
-    # Python-int arithmetic: a numpy-scalar overflow would warn.  np.int64
-    # rejects a seed outside int64.
-    seed_term = np.uint64((int(np.int64(root_seed)) * seed_mult) & _MASK)
-    return (seed_term, salts[:split], mults[:split], salts[split:],
-            mults[split:])
-
-
-def _node_keys(paths: np.ndarray, seed_term: np.uint64, salts: np.ndarray,
-               mults: np.ndarray) -> np.ndarray:
+def _node_keys(root_seed: int, paths: np.ndarray, salts: np.ndarray,
+               mults: np.ndarray, seed_mult: int) -> np.ndarray:
     """Unmixed key sums of the rows of the ``(K, L)`` int64 ``paths`` over
-    their L entries: ``seed_term`` plus ``(p_j XOR s_j) * a_j`` mod 2**64,
-    with ``salts`` s_j and ``mults`` a_j."""
+    their L entries: ``root_seed * seed_mult`` plus ``(p_j XOR s_j) * a_j``
+    mod 2**64, with s_j and a_j the first L ``salts`` and ``mults``."""
+    length = paths.shape[1]
+    # Python-int arithmetic: a numpy-scalar overflow would warn.  np.int64
+    # rejects a seed outside int64.  reduce takes the Python int as uint64.
+    seed_term = (int(np.int64(root_seed)) * seed_mult) & _MASK
     # Not in place: numpy runs in-place ufuncs on one-element arrays, such
     # as the node of a root (K = L = 1), about twice as slowly.
-    terms = (paths.view(np.uint64) ^ salts) * mults
+    terms = (paths.view(np.uint64) ^ salts[:length]) * mults[:length]
     return np.add.reduce(terms, axis=1, initial=seed_term)
 
 
@@ -194,8 +185,7 @@ def stream_uniforms(
     if n < 0:
         raise ValueError("draw count must be nonnegative")
     paths = path_array(path, "path")
-    length = paths.shape[1]
-    keys = _node_keys(paths, *_key_constants(root_seed, length, length)[:3])
+    keys = _node_keys(root_seed, paths, *_length_constants(paths.shape[1]))
     return _to_uniform(_words(keys, n))[0]
 
 
@@ -245,13 +235,13 @@ def block_uniforms(
         raise ValueError(
             f"base_path has {nodes} paths, which does not divide the "
             f"{rows} suffixes")
-    seed_term, salts, mults, tail_salts, tail_mults = _key_constants(
-        root_seed, base.shape[1] + 2, base.shape[1])
-    terms = tail.view(np.uint64) ^ tail_salts
-    terms *= tail_mults
+    length = base.shape[1]
+    salts, mults, seed_mult = _length_constants(length + 2)
+    terms = tail.view(np.uint64) ^ salts[length:]
+    terms *= mults[length:]
     keys = terms[:, 0] + terms[:, 1]
     per_node = keys.reshape(nodes, m)
-    per_node += _node_keys(base, seed_term, salts, mults)[:, None]
+    per_node += _node_keys(root_seed, base, salts, mults, seed_mult)[:, None]
     if ledger is not None:
         ledger.add(rows * width)
     return _to_uniform(_words(keys, width))

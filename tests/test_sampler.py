@@ -173,8 +173,8 @@ def _level_branch_block(width):
                                     np.arange(1, 6), np.arange(1, 5**5 + 1),
                                     indexing="ij")
     paths = np.stack([c, sign * level, i], axis=-1).reshape(-1, 3)
-    keys = sampler._node_keys(paths.astype(np.int64),
-                              *sampler._key_constants(2024, 3, 3)[:3])
+    keys = sampler._node_keys(2024, paths.astype(np.int64),
+                              *sampler._length_constants(3))
     words = sampler._words(keys, width)
     return words.reshape(c.shape + (width,))
 
