@@ -267,26 +267,24 @@ def _estimates(problem, config, t, x, paths, budget=None):
     return out, ledger.scalar_draws
 
 
-def _suffixes(k: int, a: int, m: int, sign: int,
-              cached: bool = True) -> np.ndarray:
+def _suffixes(k: int, a: int, m: int, sign: int) -> np.ndarray:
     """Suffixes ``(a, sign * i)``, i = 1..m, of the m sample streams of each
-    of k nodes: node k owns rows k*m .. k*m + m-1.  A block of at most
-    ``_CACHED_SUFFIX_ROWS`` rows gets one read-only array per shape, unless
-    ``cached`` is false.  Table-shallow, whose blocks are tiny, makes 4.6%
-    more estimates per second with the cache (``BENCH_node_keys.json``)."""
-    if cached and k * m <= _CACHED_SUFFIX_ROWS:
-        return _cached_suffixes(k, a, m, sign)
-    suffixes = np.empty((k, m, 2), dtype=np.int64)
-    suffixes[:, :, 0] = a
-    suffixes[:, :, 1] = np.arange(sign, sign * (m + 1), sign)
-    return suffixes.reshape(-1, 2)
+    of k nodes: node k owns rows k*m .. k*m + m-1, as a read-only array.
+    A block of at most ``_CACHED_SUFFIX_ROWS`` rows shares one array per
+    shape.  Table-shallow, whose blocks are tiny, makes 4.6% more estimates
+    per second so (``BENCH_node_keys.json``)."""
+    if k * m <= _CACHED_SUFFIX_ROWS:
+        return _shared_suffixes(k, a, m, sign)
+    return _shared_suffixes.__wrapped__(k, a, m, sign)
 
 
 @lru_cache(maxsize=64)
-def _cached_suffixes(k: int, a: int, m: int, sign: int) -> np.ndarray:
-    suffixes = _suffixes(k, a, m, sign, cached=False)
+def _shared_suffixes(k: int, a: int, m: int, sign: int) -> np.ndarray:
+    suffixes = np.empty((k, m, 2), dtype=np.int64)
+    suffixes[:, :, 0] = a
+    suffixes[:, :, 1] = np.arange(sign, sign * (m + 1), sign)
     suffixes.flags.writeable = False
-    return suffixes
+    return suffixes.reshape(-1, 2)
 
 
 def _path(paths: np.ndarray, j: int, suffixes: np.ndarray | None = None):
