@@ -61,9 +61,10 @@ own before step 2, the calling thread runs job 0 at step 4, and each
 group's estimates are joined in job order.  Nodes are independent and
 their streams disjoint, so the split changes no bit; each job counts its
 draws in a ledger of its own, added in job order.  If anything raises
-under the fan-out, the threads are joined and the whole estimate is
-replayed on the calling thread, so the error raised is the one a
-one-thread run raises.
+under the fan-out, a stop flag is set that every job checks before each
+block, the threads are joined once their jobs have stopped, and the whole
+estimate is replayed on the calling thread, so the error raised is the one
+a one-thread run raises.
 
 :func:`_estimates` evaluates K root nodes, each with its own time, point
 and stream path, as root groups of at most ``CHUNK_MAX_DRAWS`` predicted
@@ -75,9 +76,11 @@ doubles.  Under glibc, block arrays of up to 2 MiB are reused from the
 heap, not mapped and faulted in afresh on every block (see the allocator
 warm-up below).
 
-Every ``g`` and ``f`` output is checked at the boundary: it must have one
-finite value per row, else :class:`CallbackContractError` names the stream
-path of the first offending row.
+Every array ``g`` and ``f`` get is a C-order float64 array: a row sum's
+bits depend on the layout of its rows.  Every ``g`` and ``f`` output is
+checked at the boundary: it must have one finite value per row, else
+:class:`CallbackContractError` names the stream path of the first
+offending row.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass
@@ -159,6 +163,10 @@ class InvalidConvention(ValueError):
 class CallbackContractError(ValueError):
     """A ``g`` or ``f`` callback returned an array of the wrong shape or a
     non-finite value; the message names the stream path of the row."""
+
+
+class _Stopped(Exception):
+    """A fan-out job stopped because another job of its estimate raised."""
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -343,11 +351,14 @@ def _batch(
     x: np.ndarray,
     ledger: DrawLedger,
     workers: int = 1,
+    stop: threading.Event | None = None,
 ) -> np.ndarray:
     """The ``(K, 1+d)`` depth-``depth`` estimates of K nodes; zero for
     depth <= 0.  Node k sits at stream path ``paths[k]`` (a ``(K, L)`` int64
     array), time ``t[k]`` and point ``x[k]``.  With ``workers`` > 1 the
-    child groups are spread over that many threads (see :func:`_plan`)."""
+    child groups are spread over that many threads (see :func:`_plan`).
+    Once ``stop`` is set, the call raises :class:`_Stopped` before its next
+    block."""
     k, d = x.shape
     out = np.zeros((k, 1 + d))
     if depth <= 0:
@@ -362,9 +373,11 @@ def _batch(
     # level j's samples, then the (j, lo) children of level j+1's.  Level
     # l's times and points stay only in the head of group l (and the tail
     # of group l-1), where step 5 reads them.
-    blocks = [_level_block(seed, paths, t, x, tau, e, level,
-                           base ** (depth - level), ledger)
-              for level in range(1, depth)]
+    blocks = []
+    for level in range(1, depth):
+        _check_stop(stop)
+        blocks.append(_level_block(seed, paths, t, x, tau, e, level,
+                                   base ** (depth - level), ledger))
     groups = []
     for j in range(1, depth):
         parts = [(np.concatenate([paths.repeat(len(s) // k, axis=0), suffixes],
@@ -377,22 +390,26 @@ def _batch(
     jobs = (_plan(groups, d, base, k * cost_rv(d, depth, base), workers)
             if workers > 1 and groups else [])
     pool = ThreadPoolExecutor(len(jobs) - 1) if len(jobs) > 1 else None
+    if pool is not None:
+        stop = threading.Event()
     try:
         futures = [pool.submit(copy_context().run, _job, problem, config,
-                               groups, job) for job in jobs[1:]]
+                               groups, job, stop) for job in jobs[1:]]
         # 2. g on the terminal block; 3. the level-0 block, the largest,
         # drawn, used and freed before any child group is evaluated.
+        _check_stop(stop)
         _terminal(out, problem.terminal_data, seed, paths, x, tau,
                   base**depth, ledger)
+        _check_stop(stop)
         _add_level(out, problem.nonlinearity, paths, tau, e, *_level_block(
             seed, paths, t, x, tau, e, 0, base**depth, ledger))
         # 4. The child groups, in group order.
         if pool is None:
-            fields = [_batch(problem, config, *group, ledger)
+            fields = [_batch(problem, config, *group, ledger, 1, stop)
                       for group in groups]
         else:
             parts = [[] for _ in groups]
-            for done, draws in [_job(problem, config, groups, jobs[0]),
+            for done, draws in [_job(problem, config, groups, jobs[0], stop),
                                 *(future.result() for future in futures)]:
                 ledger.add(draws)
                 for i, estimates in done:
@@ -406,16 +423,19 @@ def _batch(
         for weights, (_, child_paths, s, xi), field in zip(blocks, groups,
                                                           fields):
             count = weights[0].size
+            _check_stop(stop)
             _add_level(out, problem.nonlinearity, child_paths, tau, e,
                        weights, s[:count], xi[:count], None,
-                       np.concatenate([field[:count], lo]))
+                       (field[:count], lo))
             lo = field[count:]
     except Exception:
         if pool is None:
             raise
         # Jobs fail in any order, and a split group hands g and f fewer
-        # rows per call: replay the estimate here, so that the error raised
-        # is the one-thread error, shape, row and stream path alike.
+        # rows per call: stop the other jobs at their next block and replay
+        # the estimate here, so that the error raised is the one-thread
+        # error, shape, row and stream path alike.
+        stop.set()
         pool.shutdown()
         _batch(problem, config, depth, paths, t, x, DrawLedger())
         raise
@@ -434,8 +454,13 @@ def _terminal(out, g, seed, paths, x, tau, m, ledger):
     suffixes = _suffixes(k, 0, m, -1)
     z = ndtri(block_uniforms(seed, paths, suffixes, d, ledger).reshape(
         k, m, d))
-    points = np.concatenate(
-        [x, (x[:, None, :] + sqrt_tau[:, :, None] * z).reshape(-1, d)])
+    # The K query points, then the samples x + sqrt(T - t) Z, written in
+    # place.
+    points = np.empty((k + k * m, d))
+    points[:k] = x
+    samples = points[k:].reshape(k, m, d)
+    np.multiply(sqrt_tau[:, :, None], z, out=samples)
+    samples += x[:, None, :]
     gv = _checked("g", g(points), k + k * m,
                   lambda j: _path(paths, j) if j < k
                   else _path(paths, j - k, suffixes))
@@ -455,9 +480,10 @@ def _add_level(out, f, paths, tau, e, weights, s, xi, suffixes, field=None):
     ``out``.  ``weights`` is the block's ``(r, z, root)``, ``s`` and ``xi``
     its sample times and points, and sample row j has stream path
     ``_path(paths, j, suffixes)``.  Without ``field`` (level 0) f is called
-    at the zero field; else one f call takes the block's rows at the
-    depth-l estimates, the first half of ``field``, then the same rows at
-    the depth-(l-1) ones, the second half, and the difference is used."""
+    at the zero field; else ``field`` is the pair of ``(count, 1+d)``
+    depth-l and depth-(l-1) estimates at the block's rows, one f call takes
+    the rows at the first, then the same rows at the second, and the
+    difference is used.  f gets C-order arrays."""
     r, z, root = weights
     count = r.size
     if field is None:
@@ -465,8 +491,10 @@ def _add_level(out, f, paths, tau, e, weights, s, xi, suffixes, field=None):
                              np.zeros((count, xi.shape[1]))),
                       count, lambda j: _path(paths, j, suffixes))
     else:
+        hi, lo = field
         fv = _checked("f", f(np.concatenate([s, s]), np.concatenate([xi, xi]),
-                             field[:, 0], field[:, 1:]),
+                             np.concatenate([hi[:, 0], lo[:, 0]]),
+                             np.concatenate([hi[:, 1:], lo[:, 1:]])),
                       2 * count, lambda j: _path(paths, j % count, suffixes))
         fv = fv[:count] - fv[count:]
     w = _time_weight(r, tau, e) * fv.reshape(r.shape)
@@ -488,10 +516,12 @@ def _level_block(seed, paths, t, x, tau, e, level, m, ledger):
         k, m, 1 + d)
     r = u[:, :, 0] ** (1.0 / e)
     z = ndtri(u[:, :, 1:])
-    s = (t[:, None] + tau * r).reshape(-1)
-    root = np.sqrt(tau * r)
-    xi = (x[:, None, :] + root[:, :, None] * z).reshape(-1, d)
-    return (r, z, root), s, xi, suffixes
+    tau_r = tau * r
+    s = (t[:, None] + tau_r).reshape(-1)
+    root = np.sqrt(tau_r)
+    xi = root[:, :, None] * z
+    xi += x[:, None, :]
+    return (r, z, root), s, xi.reshape(-1, d), suffixes
 
 
 def _workers() -> int:
@@ -534,17 +564,29 @@ def _plan(groups: list, d: int, base: int, total: int, workers: int) -> list:
     return jobs
 
 
-def _job(problem, config, groups, pieces):
+def _job(problem, config, groups, pieces, stop):
     """A fan-out job: the estimates of its ``pieces`` (i, a, b), nodes
     a..b-1 of group i, as (i, estimates) pairs in piece order, and the
-    draws they took."""
+    draws they took.  It stops at its next block once ``stop`` is set, and
+    sets ``stop`` when it raises."""
     ledger = DrawLedger()
     done = []
-    for i, a, b in pieces:
-        depth, paths, t, x = groups[i]
-        done.append((i, _batch(problem, config, depth, paths[a:b], t[a:b],
-                               x[a:b], ledger)))
+    try:
+        for i, a, b in pieces:
+            depth, paths, t, x = groups[i]
+            done.append((i, _batch(problem, config, depth, paths[a:b],
+                                   t[a:b], x[a:b], ledger, 1, stop)))
+    except BaseException:
+        stop.set()
+        raise
     return done, ledger.scalar_draws
+
+
+def _check_stop(stop: threading.Event | None) -> None:
+    """Raise :class:`_Stopped` once ``stop`` is set: another fan-out job of
+    the estimate has raised."""
+    if stop is not None and stop.is_set():
+        raise _Stopped
 
 
 def replicate(

@@ -23,17 +23,23 @@ stream, so a whole block of streams costs a fixed number of numpy passes
 The key sum is a mod-2**64 sum, so it may be regrouped without changing
 a bit: a block of K nodes with m streams each, at paths ``node_k + (a,
 b)``, sums each node's terms once and adds the two suffix terms per
-stream, and never forms its ``(K m, L + 2)`` array of full paths.
-Because every ``a_j`` is odd, two paths of one length that differ in a
-single position have different keys.  The generator is statistical, not
-cryptographic: it is built to pass the sampler's distribution tests, not
-to resist an adversary.
+stream, and never forms its ``(K m, L + 2)`` array of full paths.  Each
+pass over a block runs along an axis R = K m elements long: the two
+suffix terms are summed by column, the node sums are repeated m times,
+and the words are drawn lane-major, as a ``(width, R)`` array holding
+word i of every stream in row i.  Because every ``a_j`` is odd, two paths
+of one length that differ in a single position have different keys.  The
+generator is statistical, not cryptographic: it is built to pass the
+sampler's distribution tests, not to resist an adversary.
 
 Each 64-bit word is mapped to a 53-bit-precision double in the open
 interval (0, 1), the top word being clamped to 1 - 2**-53 so that its
-normal quantile stays finite; Gaussian variates are produced from one
-uniform each through the inverse normal CDF, so the number of scalar draws
-consumed is always exactly the number of variates requested.
+normal quantile stays finite.  A block's lane-major words become its
+C-order ``(R, width)`` doubles in one transposing cast of ``word >> 11``
+viewed as int64: below 2**53 that is the same integer, and it casts
+exactly.  Gaussian variates are produced from one uniform each through
+the inverse normal CDF, so the number of scalar draws consumed is always
+exactly the number of variates requested.
 
 The time-fraction law used throughout has CDF P(r <= b) = b**e on (0, 1)
 for an exponent e in (0, 1); small e concentrates sampled times near the
@@ -131,15 +137,21 @@ def _steps(width: int) -> np.ndarray:
 def _words(keys: np.ndarray, width: int) -> np.ndarray:
     """First ``width`` 64-bit words of the stream of each unmixed key sum in
     ``keys``, which this call overwrites: row j is
-    ``mix64(mix64(keys[j]) + i * gamma)``, i = 1..``width``."""
-    return _mix64(np.add.outer(_mix64(keys), _steps(width)))
+    ``mix64(mix64(keys[j]) + i * gamma)``, i = 1..``width``.  The words are
+    drawn lane-major, as a ``(width, R)`` array whose passes run R elements
+    long, and returned as its transpose, an ``(R, width)`` view."""
+    return _mix64(_steps(width)[:, None] + _mix64(keys)).T
 
 
 def _to_uniform(words: np.ndarray) -> np.ndarray:
-    """``min(((word >> 11) + 0.5) * 2**-53, 1 - 2**-53)``; overwrites
-    ``words``."""
+    """``min(((word >> 11) + 0.5) * 2**-53, 1 - 2**-53)`` as a C-order
+    array, whatever the layout of ``words``, which this call overwrites.
+    ``word >> 11`` is below 2**53, so it reads as the same int64 and casts
+    to the same double as the uint64 would; the int64 view costs no pass,
+    and numpy casts int64 to double faster than uint64."""
     words >>= _S11
-    u = words + _HALF
+    u = words.view(np.int64).astype(np.float64, order="C")
+    u += _HALF
     u *= _U53
     np.minimum(u, _BELOW_ONE, out=u)
     return u
@@ -209,9 +221,11 @@ def block_uniforms(
     into a node term, over its first L entries, and a suffix term, over
     its last two (see the module docstring): each node term is summed once,
     for its m rows, and row j's key is ``mix64(node[j // m] + tail[j])``,
-    the same mod-2**64 sum regrouped.  The keys and then the ``(R,
-    width)`` words each take a fixed number of whole-array numpy passes,
-    whatever K, R, L and ``width`` are.
+    the same mod-2**64 sum regrouped.  The keys take a fixed number of
+    numpy passes R elements long, whatever K, R and L are.  The words are
+    drawn lane-major, a ``(width, R)`` array, in a fixed number of passes
+    over it whatever ``width`` is, and one transposing cast turns them into
+    the C-order ``(R, width)`` float64 result.
 
     An entry of ``base_path`` or ``suffixes`` that is not an integer within
     int64 raises ``ValueError``, as in :func:`stream_uniforms`; int64
@@ -237,11 +251,13 @@ def block_uniforms(
             f"{rows} suffixes")
     length = base.shape[1]
     salts, mults, seed_mult = _length_constants(length + 2)
-    terms = tail.view(np.uint64) ^ salts[length:]
-    terms *= mults[length:]
-    keys = terms[:, 0] + terms[:, 1]
-    per_node = keys.reshape(nodes, m)
-    per_node += _node_keys(root_seed, base, salts, mults, seed_mult)[:, None]
+    # The suffix terms by column and the node sums repeated m times: passes
+    # R elements long.  0-d constants, and no in-place ops, which numpy runs
+    # slowly on the one-element arrays of one-row blocks.
+    tail = tail.view(np.uint64)
+    keys = ((tail[:, 0] ^ salts[length, ...]) * mults[length, ...]
+            + (tail[:, 1] ^ salts[length + 1, ...]) * mults[length + 1, ...]
+            + _node_keys(root_seed, base, salts, mults, seed_mult).repeat(m))
     if ledger is not None:
         ledger.add(rows * width)
     return _to_uniform(_words(keys, width))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import threading
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -280,6 +281,35 @@ def test_weighted_sum_keeps_the_broadcast_sums_bits():
                 expected = (w[:, :, None] * z).sum(axis=1)
                 assert engine._weighted_sum(w, z).tobytes() == \
                     expected.tobytes(), (k, m, d)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_callbacks_get_c_order_float64_arrays(monkeypatch, d, workers):
+    # A row sum's bits depend on the layout of its rows, and the blocks are
+    # drawn through transposed arrays: every array g and f get is C-order
+    # float64, on one thread and fanned out over two.
+    monkeypatch.setattr(engine, "_workers", lambda: workers)
+    monkeypatch.setattr(engine, "FANOUT_MIN_DRAWS", 1)
+    problem = _sine_problem(d)
+    g, f = problem.terminal_data, problem.nonlinearity
+    seen = []
+
+    def g_rec(x):
+        seen.append((threading.get_ident(), x))
+        return g(x)
+
+    def f_rec(t, x, y, z):
+        seen.append((threading.get_ident(), t, x, y, z))
+        return f(t, x, y, z)
+
+    evaluate(replace(problem, terminal_data=g_rec, nonlinearity=f_rec),
+             MlpConfig(depth=5, base=5), 0.25, np.linspace(-0.4, 0.6, d))
+    assert len({call[0] for call in seen}) == workers
+    for call in seen:
+        for array in call[1:]:
+            assert array.dtype == np.float64
+            assert array.flags.c_contiguous
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

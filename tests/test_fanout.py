@@ -197,6 +197,42 @@ def test_fanout_error_names_the_one_thread_row(monkeypatch, case, workers):
     assert messages[0].startswith(f"{callback} returned non-finite value nan")
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_fanout_stops_the_other_jobs_after_an_error(monkeypatch, workers):
+    # g fails at the root's terminal sample 3, on the calling thread, while
+    # the other jobs run their child groups.  They stop at their next block,
+    # so each worker thread makes at most one callback call after the
+    # failing g call: one it may have begun before the failure was seen.
+    d, seed, theta = 3, 5, (0,)
+    problem, config = _sine(d), MlpConfig(depth=5, base=5, root_seed=seed)
+    x0 = np.linspace(-0.4, 0.6, d)
+    x_bad = x0 + np.sqrt(problem.horizon - 0.25) * ndtri(
+        stream_uniforms(seed, theta + (0, -3), d))
+    g, f = problem.terminal_data, problem.nonlinearity
+    calls = []
+
+    def g_rec(x):
+        calls.append(threading.get_ident())
+        hit = np.all(x == x_bad, axis=1)
+        values = np.where(hit, np.nan, g(x))
+        if hit.any():
+            calls.append("failed")
+        return values
+
+    def f_rec(t, x, y, z):
+        calls.append(threading.get_ident())
+        return f(t, x, y, z)
+
+    monkeypatch.setattr(engine, "_workers", lambda: workers)
+    main = threading.get_ident()
+    with pytest.raises(CallbackContractError, match=r"\(0, 0, -3\)"):
+        evaluate(replace(problem, terminal_data=g_rec, nonlinearity=f_rec),
+                 config, 0.25, x0, theta=theta)
+    after = calls[calls.index("failed") + 1:]
+    for ident in set(after) - {main, "failed"}:
+        assert after.count(ident) <= 1
+
+
 @pytest.mark.parametrize("callback", ["g", "f"])
 def test_error_names_a_later_node_of_a_child_group(monkeypatch, callback):
     # g fails at terminal sample 3 of the node reached by (3, 2) then

@@ -254,6 +254,25 @@ def test_block_uniforms_node_paths_match_per_stream_draws(seed, length, m1,
                                   stream_uniforms(seed, path, width))
 
 
+@pytest.mark.parametrize("width", [0, 1, 11])
+@pytest.mark.parametrize("nodes, m", [(1, 1), (1, 6), (2, 3), (6, 1)])
+def test_block_uniforms_returns_c_order_rows_of_streams(width, nodes, m):
+    # The words are drawn lane-major, (width, R), and cast to doubles in
+    # one transposing pass: the result is still a C-order (R, width) float64
+    # array whose row j is row j's stream.  K = 1 node (R = 1 included),
+    # K = R / m and K = R.
+    rows = nodes * m
+    paths = np.arange(3 * nodes, dtype=np.int64).reshape(nodes, 3) - 4
+    suffixes = [(j % 3 - 1, j + 1) for j in range(rows)]
+    block = block_uniforms(11, paths, suffixes, width)
+    assert block.shape == (rows, width)
+    assert block.dtype == np.float64
+    assert block.flags.c_contiguous
+    for j, suffix in enumerate(suffixes):
+        path = tuple(paths[j // m].tolist()) + suffix
+        assert np.array_equal(block[j], stream_uniforms(11, path, width))
+
+
 @pytest.mark.parametrize("nodes, rows", [(2, 3), (4, 2), (3, 5)])
 def test_block_uniforms_rejects_node_count_not_dividing_rows(nodes, rows):
     base = np.zeros((nodes, 1), dtype=np.int64)
