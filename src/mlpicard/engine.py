@@ -51,15 +51,22 @@ groups in depth order; (5) for l = 1..n-1 in level order, call f at the
 children's estimates, the hi rows from group l and the lo rows from group
 l-1, and add into the running sums.  Step 5 reads level l's times and
 points from the head of group l, their only copy, and keeps only (r, Z,
-sqrt((T - t) r)) of each level block from step 1.  Each node's sums take g, then level
-0, 1, .., n-1, the order of a node-by-node walk, so every sum keeps its
-bits.  At the root of an estimate that costs at least
-``FANOUT_MIN_DRAWS`` draws, step 4 fans out: the child groups' nodes are
-cut into one job per CPU the process may run on, balanced by their exact
-predicted draws (:func:`_plan`); the other jobs start on threads of their
-own before step 2, the calling thread runs job 0 at step 4, and each
-group's estimates are joined in job order.  Nodes are independent and
-their streams disjoint, so the split changes no bit; each job counts its
+sqrt((T - t) r)) of each level block from step 1.  Each node's sums take
+g, then level 0, 1, .., n-1, the order of a node-by-node walk, so every
+sum keeps its bits.  At the root of an estimate that costs at least
+``FANOUT_MIN_DRAWS`` draws, step 4 fans out over one job per CPU the
+process may run on (:func:`_plan`).  The child groups are dealt whole,
+the dearest first, each to the job with the fewest predicted draws so
+far; the calling thread's job starts at the root's own blocks.  Only a
+group dearer than an equal share of the draws is cut into node ranges.
+The dearest, the depth-(n-1) group, holds 41-49% of the draws of every
+shape with d <= 1000 and n, M <= 11 that fans out within the default
+budget, so at two workers no group is cut and no subtree is drawn twice:
+a d = 3, n = M = 5 estimate takes its 47 block calls on two threads as on
+one.  The other jobs start on threads of their own before step 2, the
+calling thread runs job 0 at step 4, and each group's estimates are
+joined in node order, whichever job made them.  Nodes are independent and
+their streams disjoint, so the deal changes no bit; each job counts its
 draws in a ledger of its own, added in job order.  If anything raises
 under the fan-out, a stop flag is set that every job checks before each
 block, the threads are joined once their jobs have stopped, and the whole
@@ -106,6 +113,7 @@ from .core import (
     PdeProblem,
     ThetaPath,
     Violation,
+    is_int64,
     validate_problem,
 )
 from .sampler import DrawLedger, block_uniforms, path_array
@@ -408,13 +416,14 @@ def _batch(
             fields = [_batch(problem, config, *group, ledger, 1, stop)
                       for group in groups]
         else:
-            parts = [[] for _ in groups]
+            # Each range's estimates land at its nodes' rows, whichever job
+            # made them.
+            fields = [np.empty((len(p), 1 + d)) for _, p, _, _ in groups]
             for done, draws in [_job(problem, config, groups, jobs[0], stop),
                                 *(future.result() for future in futures)]:
                 ledger.add(draws)
-                for i, estimates in done:
-                    parts[i].append(estimates)
-            fields = [np.concatenate(part) for part in parts]
+                for i, a, estimates in done:
+                    fields[i][a:a + len(estimates)] = estimates
         # 5. f at the child estimates, level by level: level l's hi rows
         # head group l, its lo rows trail group l-1 (the zero field at l = 1).
         # The sample at row j of level l >= 1 has its hi child's path, row j
@@ -537,36 +546,45 @@ def _plan(groups: list, d: int, base: int, total: int, workers: int) -> list:
     parent group whose estimate costs ``total`` draws.
 
     A job is a list of pieces ``(i, a, b)``, nodes a..b-1 of group i, in
-    group order.  The nodes of all groups are laid out from the cheapest to
-    the dearest (a depth-l node costs ``cost_rv(d, l, M)`` draws), after
-    the parent's own blocks, which the calling thread draws, and cut at the
-    node boundaries nearest to ``workers`` equal shares of ``total``.  So
-    only the groups a cut falls in are split, and job 0, the calling
-    thread's, holds the shallowest nodes."""
-    counts = [len(paths) for _, paths, _, _ in groups]
-    order = sorted(range(len(groups)), key=lambda i: groups[i][0])
-    per_node = {depth: float(cost_rv(d, depth, base))
-                for depth, _, _, _ in groups}
-    cost = np.repeat([per_node[groups[i][0]] for i in order],
-                     [counts[i] for i in order])
-    ends = np.cumsum(cost)
-    ends += total - ends[-1]
-    cuts = np.searchsorted(ends - cost / 2,
-                           total * np.arange(1, workers) / workers).tolist()
-    starts = np.cumsum([0] + [counts[i] for i in order]).tolist()
-    jobs = []
-    for lo, hi in zip([0, *cuts], [*cuts, len(cost)]):
-        job = sorted((i, max(lo, s) - s, min(hi, s + counts[i]) - s)
-                     for i, s in zip(order, starts)
-                     if max(lo, s) < min(hi, s + counts[i]))
-        if job:
-            jobs.append(job)
-    return jobs
+    group order.  The groups are dealt whole, the dearest first (a depth-l
+    node costs ``cost_rv(d, l, M)`` draws), each to the job with the fewest
+    predicted draws so far, the lowest such job on a tie.  Job 0, the
+    calling thread's, starts at the parent's own blocks, which that thread
+    draws, and stays first even when it gets no group.  Only a group dearer
+    than an equal share, total / workers, is cut: into ceil(cost / share)
+    node ranges of near-equal size, dealt like groups; ranges of one group
+    that land in one job are joined again.  So each node's subtree is drawn
+    by one job, and a group is drawn by more than one only when it is
+    dearer than a share."""
+    pieces = []
+    for i, (depth, paths, _, _) in enumerate(groups):
+        count = len(paths)
+        per_node = cost_rv(d, depth, base)
+        cuts = min(count, -(-count * per_node * workers // total))
+        bounds = [count * q // cuts for q in range(cuts + 1)]
+        pieces += [((b - a) * per_node, i, a, b)
+                   for a, b in zip(bounds, bounds[1:])]
+    loads = [total - sum(piece[0] for piece in pieces)] + [0] * (workers - 1)
+    jobs = [[] for _ in range(workers)]
+    # A stable sort: pieces of equal cost stay in group and node order.
+    for cost, i, a, b in sorted(pieces, key=lambda piece: -piece[0]):
+        j = loads.index(min(loads))
+        loads[j] += cost
+        jobs[j].append((i, a, b))
+    joined = []
+    for job in jobs:
+        merged = []
+        for i, a, b in sorted(job):
+            if merged and merged[-1][0] == i and merged[-1][2] == a:
+                a = merged.pop()[1]
+            merged.append((i, a, b))
+        joined.append(merged)
+    return joined[:1] + [job for job in joined[1:] if job]
 
 
 def _job(problem, config, groups, pieces, stop):
     """A fan-out job: the estimates of its ``pieces`` (i, a, b), nodes
-    a..b-1 of group i, as (i, estimates) pairs in piece order, and the
+    a..b-1 of group i, as (i, a, estimates) triples in piece order, and the
     draws they took.  It stops at its next block once ``stop`` is set, and
     sets ``stop`` when it raises."""
     ledger = DrawLedger()
@@ -574,8 +592,8 @@ def _job(problem, config, groups, pieces, stop):
     try:
         for i, a, b in pieces:
             depth, paths, t, x = groups[i]
-            done.append((i, _batch(problem, config, depth, paths[a:b],
-                                   t[a:b], x[a:b], ledger, 1, stop)))
+            done.append((i, a, _batch(problem, config, depth, paths[a:b],
+                                      t[a:b], x[a:b], ledger, 1, stop)))
     except BaseException:
         stop.set()
         raise
@@ -598,8 +616,13 @@ def replicate(
 ) -> list[FieldEstimate]:
     """``replications`` independent estimates in replication order,
     replication k using the stream family rooted at path (k,), each under
-    the default draw budget (see :func:`resolve_budget`).  Fewer than one
-    replication raises :class:`~mlpicard.core.InvalidProblem`."""
+    the default draw budget (see :func:`resolve_budget`).  A count that is
+    not an int64 integer (a ``bool`` is not), or is below one, raises
+    :class:`~mlpicard.core.InvalidProblem` naming ``replications``."""
+    if not is_int64(replications):
+        raise InvalidProblem([Violation(
+            "replications", "ReplicationsNotInt64",
+            f"replications must be an int64 integer, got {replications!r}")])
     if replications < 1:
         raise InvalidProblem([Violation(
             "replications", "NonpositiveReplications",

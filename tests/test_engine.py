@@ -449,6 +449,17 @@ def test_replicate_rejects_nonpositive_count():
         assert f"replications must be >= 1, got {count}" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("count", [True, 2.5, "3", None, 1 << 63])
+def test_replicate_rejects_a_count_that_is_not_an_int64(count):
+    with pytest.raises(InvalidProblem) as excinfo:
+        replicate(linear_problem(), MlpConfig(depth=1, base=1), 0.0,
+                  np.array([0.0]), count)
+    assert [v.code for v in excinfo.value.violations] == [
+        "ReplicationsNotInt64"]
+    assert (f"replications must be an int64 integer, got {count!r}"
+            in str(excinfo.value))
+
+
 def test_replications_use_distinct_streams():
     config = MlpConfig(depth=1, base=1)
     values = [est.value

@@ -148,8 +148,10 @@ def _replay(seed, theta, t, x, horizon, e, pairs):
 ])
 def test_fanout_error_names_the_one_thread_row(monkeypatch, case, workers):
     # deep-f: f fails at one deep row: sample 2 of the level-1 block of the
-    # node reached by (4, 3) then (2, 1), inside the largest child group,
-    # which three workers split (nodes 0-1 and 2-4).
+    # node reached by (4, 3) then (2, 1), under node 2 of the root's depth-4
+    # group, the dearest.  Two workers run that group whole on the worker
+    # thread; three cut it into nodes 0-1, on the calling thread, and 2-4,
+    # on a worker.
     # root-g: g fails at the root's terminal sample 3, on the calling
     # thread while the other jobs run.
     # two-rows: f fails at the deep row and at the root's level-1 sample 2;
@@ -272,31 +274,76 @@ def test_error_names_a_later_node_of_a_child_group(monkeypatch, callback):
         assert f"at stream path {expected}" in message, workers
 
 
-def test_plan_cuts_nodes_into_balanced_jobs():
-    # The root's children at d = 10, n = M = 5.  The root's own blocks are
-    # 5.8% of its draws and fall to the calling thread, so with two workers
-    # job 0 stops two nodes into the (3, lo) group (index 7), which makes
-    # both shares 50% +- 0.5%, and job 1 takes the (4, hi) group (index 6,
-    # 47.7%) and the rest of (3, lo).
-    total = cost_rv(10, 5, 5)
+def _root_groups(n, base):
+    """The child groups ``_batch`` forms under one depth-n root: group j
+    (index j - 1) holds the depth-j hi children of level j's samples, then
+    the depth-j lo children of level j+1's."""
     groups = []
-    for level in range(1, 5):
-        count = 5 ** (5 - level)
-        groups += [(level, np.zeros((count, 3)), None, None),
-                   (level - 1, np.zeros((count, 3)), None, None)]
+    for j in range(1, n):
+        count = base ** (n - j) + (base ** (n - j - 1) if j < n - 1 else 0)
+        groups.append((j, np.zeros((count, 1)), None, None))
+    return groups
+
+
+def test_plan_cuts_nodes_into_balanced_jobs():
+    # The root's children at d = 10, n = M = 5: groups of 750, 150, 30 and
+    # 5 nodes of depths 1..4, holding 6.2%, 13.0%, 27.3% and 47.7% of the
+    # draws; the root's own blocks, 5.8%, fall to the calling thread.  Dealt
+    # dearest first to the lightest job, no group is cut at two workers:
+    # job 1 takes the depth-4 group, job 0 the rest (52.3%).  At three
+    # workers only the depth-4 group exceeds a share and is cut into nodes
+    # 0-1 and 2-4.
+    groups = _root_groups(5, 5)
+    total = cost_rv(10, 5, 5)
     whole = [(i, 0, len(group[1])) for i, group in enumerate(groups)]
     assert engine._plan(groups, 10, 5, total, 1) == [whole]
-    jobs = engine._plan(groups, 10, 5, total, 2)
-    assert jobs == [whole[:6] + [(7, 0, 2)], [(6, 0, 5), (7, 2, 5)]]
+    assert engine._plan(groups, 10, 5, total, 2) == [whole[:3], whole[3:]]
+    assert engine._plan(groups, 10, 5, total, 3) == [
+        [(1, 0, 150), (3, 0, 2)], [(3, 2, 5)], [(0, 0, 750), (2, 0, 30)]]
     for workers in (2, 3, 4, 7, 50):
         jobs = engine._plan(groups, 10, 5, total, workers)
         assert 1 < len(jobs) <= workers
-        assert all(job == sorted(job) for job in jobs)
-        # Every node in exactly one piece; at most workers - 1 groups split.
+        assert all(job and job == sorted(job) for job in jobs[1:])
+        # Every node in exactly one piece, and only a group dearer than an
+        # equal share is cut.
         covered = {}
         for i, a, b in sorted(piece for job in jobs for piece in job):
             assert a == covered.get(i, 0) < b
             covered[i] = b
         assert covered == {i: b for i, _, b in whole}
-        pieces = [i for job in jobs for i, _, _ in job]
-        assert len(pieces) - len(groups) <= workers - 1
+        for i, (depth, paths, _, _) in enumerate(groups):
+            cut = sum(piece[0] == i for job in jobs for piece in job) > 1
+            assert cut == (len(paths) * cost_rv(10, depth, 5) * workers
+                           > total)
+    # Job 0 stays the calling thread's with no group to run: at 50 workers
+    # the root's own blocks already exceed a share.
+    assert engine._plan(groups, 10, 5, total, 50)[0] == []
+    # At d = 10, n = 3, M = 2 and four workers the depth-1 group (29%) is
+    # cut in two, and both halves are dealt to one job, which draws them
+    # as one piece.
+    groups = _root_groups(3, 2)
+    assert engine._plan(groups, 10, 2, cost_rv(10, 3, 2), 4) == [
+        [], [(1, 0, 1)], [(1, 1, 2)], [(0, 0, 6)]]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fanout_draws_each_group_in_one_job(monkeypatch, workers):
+    # A d = 3, n = M = 5 estimate walks 2**4 groups in 47 blocks.  At two
+    # workers no child group exceeds an equal share, so none is cut and no
+    # subtree is drawn twice: 47 block calls there as well.
+    problem, config = _sine(3), MlpConfig(depth=5, base=5, root_seed=0)
+    calls = []
+    block_uniforms = engine.block_uniforms
+
+    def counting(*args):
+        calls.append(threading.get_ident())
+        return block_uniforms(*args)
+
+    monkeypatch.setattr(engine, "block_uniforms", counting)
+    monkeypatch.setattr(engine, "_workers", lambda: workers)
+    est = evaluate(problem, config, 0.25, np.linspace(-0.4, 0.6, 3))
+    assert len(calls) == 47
+    assert len(set(calls)) == workers
+    assert [est.value.hex(),
+            hashlib.sha256(est.gradient.tobytes()).hexdigest(),
+            est.draws] == KNOWN[3, 0]
