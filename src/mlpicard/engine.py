@@ -58,12 +58,13 @@ sum keeps its bits.  At the root of an estimate that costs at least
 process may run on (:func:`_plan`).  The child groups are dealt whole,
 the dearest first, each to the job with the fewest predicted draws so
 far; the calling thread's job starts at the root's own blocks.  Only a
-group dearer than an equal share of the draws is cut into node ranges.
-The dearest, the depth-(n-1) group, holds 41-49% of the draws of every
-shape with d <= 1000 and n, M <= 11 that fans out within the default
-budget, so at two workers no group is cut and no subtree is drawn twice:
-a d = 3, n = M = 5 estimate takes its 47 block calls on two threads as on
-one.  The other jobs start on threads of their own before step 2, the
+group dearer than an equal share of the draws is cut into node ranges, at
+the node boundaries below one, two, .. shares.  The dearest, the
+depth-(n-1) group, holds 41-49% of the draws of every shape with
+d <= 1000 and n, M <= 11 that fans out within the default budget, so at
+two workers no group is cut and no subtree is drawn twice: a d = 3,
+n = M = 5 estimate takes its 47 block calls on two threads as on one.
+The other jobs start on threads of their own before step 2, the
 calling thread runs job 0 at step 4, and each group's estimates are
 joined in node order, whichever job made them.  Nodes are independent and
 their streams disjoint, so the deal changes no bit; each job counts its
@@ -552,18 +553,20 @@ def _plan(groups: list, d: int, base: int, total: int, workers: int) -> list:
     calling thread's, starts at the parent's own blocks, which that thread
     draws, and stays first even when it gets no group.  Only a group dearer
     than an equal share, total / workers, is cut: into ceil(cost / share)
-    node ranges of near-equal size, dealt like groups; ranges of one group
-    that land in one job are joined again.  So each node's subtree is drawn
-    by one job, and a group is drawn by more than one only when it is
-    dearer than a share."""
+    node ranges at the node boundaries below 1, 2, .. shares, the remainder
+    last, dealt like groups; ranges of one group that land in one job are
+    joined again.  So each node's subtree is drawn by one job, a group is
+    drawn by more than one only when it is dearer than a share, and fewer
+    than ``workers`` pieces are added by the cuts."""
     pieces = []
     for i, (depth, paths, _, _) in enumerate(groups):
         count = len(paths)
         per_node = cost_rv(d, depth, base)
-        cuts = min(count, -(-count * per_node * workers // total))
-        bounds = [count * q // cuts for q in range(cuts + 1)]
+        cuts = -(-count * per_node * workers // total)
+        bounds = [q * total // (workers * per_node)
+                  for q in range(cuts)] + [count]
         pieces += [((b - a) * per_node, i, a, b)
-                   for a, b in zip(bounds, bounds[1:])]
+                   for a, b in zip(bounds, bounds[1:]) if a < b]
     loads = [total - sum(piece[0] for piece in pieces)] + [0] * (workers - 1)
     jobs = [[] for _ in range(workers)]
     # A stable sort: pieces of equal cost stay in group and node order.

@@ -150,8 +150,8 @@ def test_fanout_error_names_the_one_thread_row(monkeypatch, case, workers):
     # deep-f: f fails at one deep row: sample 2 of the level-1 block of the
     # node reached by (4, 3) then (2, 1), under node 2 of the root's depth-4
     # group, the dearest.  Two workers run that group whole on the worker
-    # thread; three cut it into nodes 0-1, on the calling thread, and 2-4,
-    # on a worker.
+    # thread; three cut it into nodes 0-2, on a worker, and 3-4, on the
+    # calling thread.
     # root-g: g fails at the root's terminal sample 3, on the calling
     # thread while the other jobs run.
     # two-rows: f fails at the deep row and at the root's level-1 sample 2;
@@ -291,21 +291,22 @@ def test_plan_cuts_nodes_into_balanced_jobs():
     # draws; the root's own blocks, 5.8%, fall to the calling thread.  Dealt
     # dearest first to the lightest job, no group is cut at two workers:
     # job 1 takes the depth-4 group, job 0 the rest (52.3%).  At three
-    # workers only the depth-4 group exceeds a share and is cut into nodes
-    # 0-1 and 2-4.
+    # workers only the depth-4 group exceeds a share and is cut at the node
+    # boundary below one share: nodes 0-2 (28.6%) and the remainder, 3-4
+    # (19.1%), which joins the calling thread's job.
     groups = _root_groups(5, 5)
     total = cost_rv(10, 5, 5)
     whole = [(i, 0, len(group[1])) for i, group in enumerate(groups)]
     assert engine._plan(groups, 10, 5, total, 1) == [whole]
     assert engine._plan(groups, 10, 5, total, 2) == [whole[:3], whole[3:]]
     assert engine._plan(groups, 10, 5, total, 3) == [
-        [(1, 0, 150), (3, 0, 2)], [(3, 2, 5)], [(0, 0, 750), (2, 0, 30)]]
+        [(1, 0, 150), (3, 3, 5)], [(3, 0, 3)], [(0, 0, 750), (2, 0, 30)]]
     for workers in (2, 3, 4, 7, 50):
         jobs = engine._plan(groups, 10, 5, total, workers)
         assert 1 < len(jobs) <= workers
-        assert all(job and job == sorted(job) for job in jobs[1:])
-        # Every node in exactly one piece, and only a group dearer than an
-        # equal share is cut.
+        assert all(job == sorted(job) for job in jobs) and all(jobs[1:])
+        # Every node in exactly one piece, only a group dearer than an equal
+        # share is cut, and the cuts add fewer than `workers` pieces.
         covered = {}
         for i, a, b in sorted(piece for job in jobs for piece in job):
             assert a == covered.get(i, 0) < b
@@ -315,15 +316,16 @@ def test_plan_cuts_nodes_into_balanced_jobs():
             cut = sum(piece[0] == i for job in jobs for piece in job) > 1
             assert cut == (len(paths) * cost_rv(10, depth, 5) * workers
                            > total)
+        assert sum(len(job) for job in jobs) - len(groups) <= workers - 1
     # Job 0 stays the calling thread's with no group to run: at 50 workers
     # the root's own blocks already exceed a share.
     assert engine._plan(groups, 10, 5, total, 50)[0] == []
-    # At d = 10, n = 3, M = 2 and four workers the depth-1 group (29%) is
-    # cut in two, and both halves are dealt to one job, which draws them
+    # At d = 10, n = 3, M = 2 and three workers the depth-2 group (43.9%)
+    # is cut in two, and both halves are dealt to one job, which draws them
     # as one piece.
     groups = _root_groups(3, 2)
-    assert engine._plan(groups, 10, 2, cost_rv(10, 3, 2), 4) == [
-        [], [(1, 0, 1)], [(1, 1, 2)], [(0, 0, 6)]]
+    assert engine._plan(groups, 10, 2, cost_rv(10, 3, 2), 3) == [
+        [], [(0, 0, 6)], [(1, 0, 2)]]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
