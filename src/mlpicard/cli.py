@@ -19,6 +19,7 @@ import numpy as np
 from .bounds import (
     AdmissibilityViolated,
     NoFeasibleDepth,
+    Overflow,
     cost_bound_closed,
     cost_rv,
     schedule as solve_schedule,
@@ -61,18 +62,28 @@ def _parse_point(text: str | None, dimension: int) -> np.ndarray:
     return np.array(parts)
 
 
-def _parse_m_rule(text: str):
-    """Either ``fixed:M`` or ``floor-n^q`` with a numeric exponent q."""
+def _parse_m_rule(text: str, n_max: int) -> list[tuple[int, int]]:
+    """The schedule (n, M), n = 1..n_max, of ``fixed:M`` or of
+    ``floor-n^q`` with a finite exponent q; a q that is not, or an n**q
+    past the float range, exits naming ``--m-rule``."""
+    depths = range(1, n_max + 1)
     if text.startswith("fixed:"):
         m = int(text.split(":", 1)[1])
         if m < 1:
             raise SystemExit("error: fixed M must be >= 1")
-        return lambda n: m
-    if text.startswith("floor-n^"):
+        return [(n, m) for n in depths]
+    if not text.startswith("floor-n^"):
+        raise SystemExit(
+            f"error: --m-rule must be 'floor-n^q' or 'fixed:M', got {text!r}")
+    try:
         q = float(text[len("floor-n^"):])
-        return lambda n: max(1, math.floor(n**q))
-    raise SystemExit(
-        f"error: --m-rule must be 'floor-n^q' or 'fixed:M', got {text!r}")
+        if not math.isfinite(q):
+            raise ValueError
+        return [(n, max(1, math.floor(n**q))) for n in depths]
+    except (ValueError, OverflowError):
+        raise SystemExit(
+            f"error: --m-rule needs a finite q with n^q in the float range "
+            f"for n <= {n_max}, got {text!r}") from None
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -107,8 +118,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     case = _load_case(args.case, args.d)
-    rule = _parse_m_rule(args.m_rule)
-    schedule = [(n, rule(n)) for n in range(1, args.n_max + 1)]
+    schedule = _parse_m_rule(args.m_rule, args.n_max)
     rows = run_convergence(
         case, schedule, replications=args.reps, seed=args.seed,
         t=args.t, x=_parse_point(args.x, to_canonical(case.problem)[0].dimension),
@@ -249,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (InvalidProblem, UnknownCase, QueryAtTerminalTime,
-            DepthCostGuard, ValueError) as exc:
+            DepthCostGuard, Overflow, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

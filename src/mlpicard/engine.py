@@ -54,25 +54,22 @@ points from the head of group l, their only copy, and keeps only (r, Z,
 sqrt((T - t) r)) of each level block from step 1.  Each node's sums take
 g, then level 0, 1, .., n-1, the order of a node-by-node walk, so every
 sum keeps its bits.  At the root of an estimate that costs at least
-``FANOUT_MIN_DRAWS`` draws, step 4 fans out over one job per CPU the
-process may run on (:func:`_plan`).  The child groups are dealt whole,
-the dearest first, each to the job with the fewest predicted draws so
-far; the calling thread's job starts at the root's own blocks.  Only a
-group dearer than an equal share of the draws is cut into node ranges, at
-the node boundaries below one, two, .. shares.  The dearest, the
-depth-(n-1) group, holds 41-49% of the draws of every shape with
+``FANOUT_MIN_DRAWS`` draws, step 4 fans out over up to one thread per CPU
+the process may run on.  The child groups wait in one queue, the dearest
+first, and each thread takes the next whenever it is free: the others
+from before step 2, the calling thread once step 3 is done.  Only a group
+dearer than an equal share of the draws is cut, into node ranges at the
+node boundaries below one, two, .. shares (:func:`_pieces`).  The
+dearest group, depth n-1, holds 41-49% of the draws of every shape with
 d <= 1000 and n, M <= 11 that fans out within the default budget, so at
-two workers no group is cut and no subtree is drawn twice: a d = 3,
-n = M = 5 estimate takes its 47 block calls on two threads as on one.
-The other jobs start on threads of their own before step 2, the
-calling thread runs job 0 at step 4, and each group's estimates are
-joined in node order, whichever job made them.  Nodes are independent and
-their streams disjoint, so the deal changes no bit; each job counts its
-draws in a ledger of its own, added in job order.  If anything raises
-under the fan-out, a stop flag is set that every job checks before each
-block, the threads are joined once their jobs have stopped, and the whole
-estimate is replayed on the calling thread, so the error raised is the one
-a one-thread run raises.
+two workers no subtree is drawn twice: a d = 3, n = M = 5 estimate takes
+its 47 block calls on two threads as on one, whichever thread draws which
+group.  Nodes are independent and their streams disjoint, so that choice
+changes no bit; each thread counts its draws in a ledger of its own.  If
+anything raises under the fan-out, a stop flag is set that every thread
+checks before each block, the threads are joined, and the whole estimate
+is replayed on the calling thread, so the error raised is the one a
+one-thread run raises.
 
 :func:`_estimates` evaluates K root nodes, each with its own time, point
 and stream path, as root groups of at most ``CHUNK_MAX_DRAWS`` predicted
@@ -97,6 +94,7 @@ import math
 import numbers
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 from dataclasses import dataclass
@@ -175,7 +173,7 @@ class CallbackContractError(ValueError):
 
 
 class _Stopped(Exception):
-    """A fan-out job stopped because another job of its estimate raised."""
+    """A fan-out thread stopped: another thread of its estimate raised."""
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -227,11 +225,12 @@ def evaluate(
     on malformed inputs, and :class:`CallbackContractError` when ``g`` or
     ``f`` returns a misshapen or non-finite array.
 
-    An estimate that costs at least ``FANOUT_MIN_DRAWS`` draws runs on as
-    many threads as the process has CPUs, with the same bits and errors as
-    on one: ``g`` and ``f`` may then be called at the same time from
-    several threads, on disjoint rows.  Pure array functions, such as the
-    builtin cases, are safe; a callback that changes shared state is not.
+    An estimate that costs at least ``FANOUT_MIN_DRAWS`` draws runs on up
+    to as many threads as the process has CPUs, with the same bits and
+    errors as on one: ``g`` and ``f`` may then be called at the same time
+    from several threads, on disjoint rows.  Pure array functions, such as
+    the builtin cases, are safe; a callback that changes shared state is
+    not.
 
     Callbacks run under the caller's numpy error state with underflow
     ignored: u**(1/e) underflows to 0 for small e, where the limit is taken.
@@ -275,7 +274,7 @@ def _estimates(problem, config, t, x, paths, budget=None):
     k = len(paths)
     workers = _workers() if k * predicted >= FANOUT_MIN_DRAWS else 1
     step = max(1, CHUNK_MAX_DRAWS // max(predicted, 1))
-    # Fan-out jobs inherit the errstate through copy_context.
+    # Fan-out threads inherit the errstate through copy_context.
     with np.errstate(under="ignore"):
         chunks = [_batch(problem, config, config.depth, paths[a:a + step],
                          t[a:a + step], x[a:a + step], ledger, workers)
@@ -365,7 +364,7 @@ def _batch(
     """The ``(K, 1+d)`` depth-``depth`` estimates of K nodes; zero for
     depth <= 0.  Node k sits at stream path ``paths[k]`` (a ``(K, L)`` int64
     array), time ``t[k]`` and point ``x[k]``.  With ``workers`` > 1 the
-    child groups are spread over that many threads (see :func:`_plan`).
+    child groups are spread over up to that many threads (:func:`_drain`).
     Once ``stop`` is set, the call raises :class:`_Stopped` before its next
     block."""
     k, d = x.shape
@@ -396,14 +395,20 @@ def _batch(
         child_paths[len(parts[0][1]):, -2] = -(j + 1)
         groups.append((j, child_paths, s, xi))
     blocks = [weights for weights, _, _, _ in blocks]
-    jobs = (_plan(groups, d, base, k * cost_rv(d, depth, base), workers)
-            if workers > 1 and groups else [])
-    pool = ThreadPoolExecutor(len(jobs) - 1) if len(jobs) > 1 else None
+    pieces = (_pieces(groups, d, base, k * cost_rv(d, depth, base), workers)
+              if workers > 1 else [])
+    threads = min(workers, len(pieces)) - 1
+    pool = ThreadPoolExecutor(threads) if threads > 0 else None
     if pool is not None:
         stop = threading.Event()
+        pieces = deque(pieces)
+        # Each piece's estimates land at its nodes' rows, whichever thread
+        # drew them.
+        fields = [np.empty((len(p), 1 + d)) for _, p, _, _ in groups]
     try:
-        futures = [pool.submit(copy_context().run, _job, problem, config,
-                               groups, job, stop) for job in jobs[1:]]
+        futures = [pool.submit(copy_context().run, _drain, problem, config,
+                               groups, pieces, fields, stop)
+                   for _ in range(threads)]
         # 2. g on the terminal block; 3. the level-0 block, the largest,
         # drawn, used and freed before any child group is evaluated.
         _check_stop(stop)
@@ -412,19 +417,15 @@ def _batch(
         _check_stop(stop)
         _add_level(out, problem.nonlinearity, paths, tau, e, *_level_block(
             seed, paths, t, x, tau, e, 0, base**depth, ledger))
-        # 4. The child groups, in group order.
+        # 4. The child groups, in group order, or under the fan-out in
+        # queue order, the calling thread joining in.
         if pool is None:
             fields = [_batch(problem, config, *group, ledger, 1, stop)
                       for group in groups]
         else:
-            # Each range's estimates land at its nodes' rows, whichever job
-            # made them.
-            fields = [np.empty((len(p), 1 + d)) for _, p, _, _ in groups]
-            for done, draws in [_job(problem, config, groups, jobs[0], stop),
-                                *(future.result() for future in futures)]:
-                ledger.add(draws)
-                for i, a, estimates in done:
-                    fields[i][a:a + len(estimates)] = estimates
+            ledger.add(_drain(problem, config, groups, pieces, fields, stop))
+            for future in futures:
+                ledger.add(future.result())
         # 5. f at the child estimates, level by level: level l's hi rows
         # head group l, its lo rows trail group l-1 (the zero field at l = 1).
         # The sample at row j of level l >= 1 has its hi child's path, row j
@@ -441,10 +442,10 @@ def _batch(
     except Exception:
         if pool is None:
             raise
-        # Jobs fail in any order, and a split group hands g and f fewer
-        # rows per call: stop the other jobs at their next block and replay
-        # the estimate here, so that the error raised is the one-thread
-        # error, shape, row and stream path alike.
+        # Threads fail in any order, and a split group hands g and f fewer
+        # rows per call: stop the other threads at their next block and
+        # replay the estimate here, so that the error raised is the
+        # one-thread error, shape, row and stream path alike.
         stop.set()
         pool.shutdown()
         _batch(problem, config, depth, paths, t, x, DrawLedger())
@@ -535,29 +536,23 @@ def _level_block(seed, paths, t, x, tau, e, level, m, ledger):
 
 
 def _workers() -> int:
-    """CPUs this process may run on: the threads an estimate of at least
-    FANOUT_MIN_DRAWS draws uses."""
+    """CPUs this process may run on: the most threads an estimate of at
+    least FANOUT_MIN_DRAWS draws uses."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _plan(groups: list, d: int, base: int, total: int, workers: int) -> list:
-    """Jobs of near-equal predicted draws over the child ``groups`` of a
-    parent group whose estimate costs ``total`` draws.
-
-    A job is a list of pieces ``(i, a, b)``, nodes a..b-1 of group i, in
-    group order.  The groups are dealt whole, the dearest first (a depth-l
-    node costs ``cost_rv(d, l, M)`` draws), each to the job with the fewest
-    predicted draws so far, the lowest such job on a tie.  Job 0, the
-    calling thread's, starts at the parent's own blocks, which that thread
-    draws, and stays first even when it gets no group.  Only a group dearer
-    than an equal share, total / workers, is cut: into ceil(cost / share)
-    node ranges at the node boundaries below 1, 2, .. shares, the remainder
-    last, dealt like groups; ranges of one group that land in one job are
-    joined again.  So each node's subtree is drawn by one job, a group is
-    drawn by more than one only when it is dearer than a share, and fewer
-    than ``workers`` pieces are added by the cuts."""
+def _pieces(groups: list, d: int, base: int, total: int, workers: int):
+    """The fan-out's pieces ``(i, a, b)``, nodes a..b-1 of group i, over
+    the child ``groups`` of a parent group whose estimate costs ``total``
+    draws, the dearest first (a depth-l node costs ``cost_rv(d, l, M)``
+    draws; pieces of equal cost stay in group and node order).  A group
+    stays whole unless it is dearer than an equal share, total / workers:
+    then it is cut at the node boundaries below 1, 2, .. shares, the
+    remainder last.  So a group is drawn by more than one thread only when
+    it is dearer than a share, and the cuts add fewer than ``workers``
+    pieces."""
     pieces = []
     for i, (depth, paths, _, _) in enumerate(groups):
         count = len(paths)
@@ -567,45 +562,34 @@ def _plan(groups: list, d: int, base: int, total: int, workers: int) -> list:
                   for q in range(cuts)] + [count]
         pieces += [((b - a) * per_node, i, a, b)
                    for a, b in zip(bounds, bounds[1:]) if a < b]
-    loads = [total - sum(piece[0] for piece in pieces)] + [0] * (workers - 1)
-    jobs = [[] for _ in range(workers)]
-    # A stable sort: pieces of equal cost stay in group and node order.
-    for cost, i, a, b in sorted(pieces, key=lambda piece: -piece[0]):
-        j = loads.index(min(loads))
-        loads[j] += cost
-        jobs[j].append((i, a, b))
-    joined = []
-    for job in jobs:
-        merged = []
-        for i, a, b in sorted(job):
-            if merged and merged[-1][0] == i and merged[-1][2] == a:
-                a = merged.pop()[1]
-            merged.append((i, a, b))
-        joined.append(merged)
-    return joined[:1] + [job for job in joined[1:] if job]
+    pieces.sort(key=lambda piece: -piece[0])
+    return [piece[1:] for piece in pieces]
 
 
-def _job(problem, config, groups, pieces, stop):
-    """A fan-out job: the estimates of its ``pieces`` (i, a, b), nodes
-    a..b-1 of group i, as (i, a, estimates) triples in piece order, and the
-    draws they took.  It stops at its next block once ``stop`` is set, and
-    sets ``stop`` when it raises."""
+def _drain(problem, config, groups, pieces, fields, stop):
+    """A fan-out thread's work: take pieces (i, a, b), nodes a..b-1 of
+    group i, from the shared deque ``pieces`` until it is empty, and write
+    their estimates to ``fields[i][a:b]``; return the draws they took.  It
+    stops at its next block once ``stop`` is set, and sets ``stop`` when
+    it raises."""
     ledger = DrawLedger()
-    done = []
     try:
-        for i, a, b in pieces:
+        while True:
+            try:
+                i, a, b = pieces.popleft()
+            except IndexError:
+                return ledger.scalar_draws
             depth, paths, t, x = groups[i]
-            done.append((i, a, _batch(problem, config, depth, paths[a:b],
-                                      t[a:b], x[a:b], ledger, 1, stop)))
+            fields[i][a:b] = _batch(problem, config, depth, paths[a:b],
+                                    t[a:b], x[a:b], ledger, 1, stop)
     except BaseException:
         stop.set()
         raise
-    return done, ledger.scalar_draws
 
 
 def _check_stop(stop: threading.Event | None) -> None:
-    """Raise :class:`_Stopped` once ``stop`` is set: another fan-out job of
-    the estimate has raised."""
+    """Raise :class:`_Stopped` once ``stop`` is set: another fan-out thread
+    of the estimate has raised."""
     if stop is not None and stop.is_set():
         raise _Stopped
 
@@ -656,15 +640,20 @@ def rmse(
     """
     if not estimates:
         raise EmptySample("rmse needs at least one estimate")
-    ref_g = np.asarray(reference_gradient, dtype=float)
-    values = np.array([est.value for est in estimates])
-    grads = np.stack([est.gradient for est in estimates])
-    mse_value = float(np.mean((values - reference_value) ** 2))
-    mse_grad = np.mean((grads - ref_g[None, :]) ** 2, axis=0)
-    worst = float(np.max(mse_grad))
+    sq, gsq = _squared_errors(estimates, reference_value, reference_gradient)
+    mse_value = float(np.mean(sq))
+    worst = float(np.max(np.mean(gsq, axis=0)))
     return RmseReport(
         rmse_value=math.sqrt(mse_value),
         rmse_gradient_max=math.sqrt(worst),
         combined=math.sqrt(mse_value + worst),
         samples=len(estimates),
     )
+
+
+def _squared_errors(estimates, reference_value, reference_gradient):
+    """Squared errors of the estimates' values (N,) and gradients (N, d)."""
+    ref_g = np.asarray(reference_gradient, dtype=float)
+    values = np.array([est.value for est in estimates])
+    grads = np.stack([est.gradient for est in estimates])
+    return (values - reference_value) ** 2, (grads - ref_g[None, :]) ** 2

@@ -31,7 +31,8 @@ from .bounds import ErrorBoundInput, cost_bound_closed, cost_rv, error_bound
 from .cases import BUILTIN_CASES, BenchmarkCase, builtin_case
 from .core import (FieldEstimate, MlpConfig, PdeProblem, is_int64,
                    to_canonical)
-from .engine import EmptySample, _estimates, evaluate, replicate, rmse
+from .engine import (EmptySample, _estimates, _squared_errors, evaluate,
+                     replicate, rmse)
 from .integrals import (
     HypothesisViolated,
     IteratedIntegralSpec,
@@ -205,11 +206,7 @@ def combined_error_ucl(
     """
     if len(estimates) < 2:
         raise EmptySample("confidence limit needs at least two estimates")
-    ref_g = np.asarray(reference_gradient, dtype=float)
-    values = np.array([est.value for est in estimates])
-    grads = np.stack([est.gradient for est in estimates])
-    sq = (values - reference_value) ** 2
-    gsq = (grads - ref_g[None, :]) ** 2
+    sq, gsq = _squared_errors(estimates, reference_value, reference_gradient)
     worst = int(np.argmax(gsq.mean(axis=0)))
     w = sq + gsq[:, worst]
     ucl = w.mean() + 1.645 * w.std(ddof=1) / math.sqrt(len(w))

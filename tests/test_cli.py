@@ -122,9 +122,28 @@ def test_case_file_bad_lambda_or_c_reports_error(tmp_path, capsys, line,
 
 
 def test_converge_rejects_bad_m_rule(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["converge", "--case", "grad-free-exponential", "--n-max", "1",
-              "--m-rule", "banana", "--out", str(tmp_path / "x.csv")])
+    # floor-n^1e4 is 1 at n = 1 and overflows a float at n = 2.
+    for rule in ("banana", "floor-n^inf", "floor-n^1e4", "floor-n^nan"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["converge", "--case", "grad-free-exponential", "--n-max",
+                  "2", "--m-rule", rule, "--out", str(tmp_path / "x.csv")])
+        assert str(excinfo.value).startswith("error: --m-rule "), rule
+        assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command, depth", [
+    (["cost", "--d", "1", "--M", "2"], 200),
+    (["solve", "--case", "grad-dependent-sine", "--M", "2", "--reps", "2"],
+     100),
+], ids=["cost", "solve"])
+def test_cost_overflow_reports_error(capsys, command, depth):
+    # Past the 128-bit cost accounting, bounds.Overflow is one error line.
+    rc = main(command + ["--n", str(depth)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(
+        f"error: cost of depth {depth} exceeds 128-bit accounting")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_integrals_command(capsys):

@@ -5,6 +5,8 @@ import hashlib
 import re
 import sys
 import threading
+import time
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 
@@ -149,11 +151,10 @@ def _replay(seed, theta, t, x, horizon, e, pairs):
 def test_fanout_error_names_the_one_thread_row(monkeypatch, case, workers):
     # deep-f: f fails at one deep row: sample 2 of the level-1 block of the
     # node reached by (4, 3) then (2, 1), under node 2 of the root's depth-4
-    # group, the dearest.  Two workers run that group whole on the worker
-    # thread; three cut it into nodes 0-2, on a worker, and 3-4, on the
-    # calling thread.
+    # group, the dearest.  Two workers draw that group whole, on whichever
+    # thread takes it; three cut it into two pieces, nodes 0-2 and 3-4.
     # root-g: g fails at the root's terminal sample 3, on the calling
-    # thread while the other jobs run.
+    # thread while the other threads run.
     # two-rows: f fails at the deep row and at the root's level-1 sample 2;
     # a one-thread run calls f on the root's level-1 block after every
     # child group, so it names the deep row.
@@ -202,9 +203,10 @@ def test_fanout_error_names_the_one_thread_row(monkeypatch, case, workers):
 @pytest.mark.parametrize("workers", [2, 3])
 def test_fanout_stops_the_other_jobs_after_an_error(monkeypatch, workers):
     # g fails at the root's terminal sample 3, on the calling thread, while
-    # the other jobs run their child groups.  They stop at their next block,
-    # so each worker thread makes at most one callback call after the
-    # failing g call: one it may have begun before the failure was seen.
+    # the other threads run their child groups.  They stop at their next
+    # block, so each worker thread makes at most one callback call after
+    # the failing g call: one it may have begun before the failure was
+    # seen.
     d, seed, theta = 3, 5, (0,)
     problem, config = _sine(d), MlpConfig(depth=5, base=5, root_seed=seed)
     x0 = np.linspace(-0.4, 0.6, d)
@@ -285,47 +287,41 @@ def _root_groups(n, base):
     return groups
 
 
-def test_plan_cuts_nodes_into_balanced_jobs():
+def test_pieces_cut_only_groups_dearer_than_a_share():
     # The root's children at d = 10, n = M = 5: groups of 750, 150, 30 and
     # 5 nodes of depths 1..4, holding 6.2%, 13.0%, 27.3% and 47.7% of the
-    # draws; the root's own blocks, 5.8%, fall to the calling thread.  Dealt
-    # dearest first to the lightest job, no group is cut at two workers:
-    # job 1 takes the depth-4 group, job 0 the rest (52.3%).  At three
-    # workers only the depth-4 group exceeds a share and is cut at the node
-    # boundary below one share: nodes 0-2 (28.6%) and the remainder, 3-4
-    # (19.1%), which joins the calling thread's job.
+    # draws; the root's own blocks hold 5.8%.  At one and two workers no
+    # group exceeds a share, so the pieces are the whole groups, the
+    # dearest first.  At three workers only the depth-4 group exceeds a
+    # share and is cut at the node boundary below one share: nodes 0-2
+    # (28.6%) and the remainder, 3-4 (19.1%).
     groups = _root_groups(5, 5)
     total = cost_rv(10, 5, 5)
     whole = [(i, 0, len(group[1])) for i, group in enumerate(groups)]
-    assert engine._plan(groups, 10, 5, total, 1) == [whole]
-    assert engine._plan(groups, 10, 5, total, 2) == [whole[:3], whole[3:]]
-    assert engine._plan(groups, 10, 5, total, 3) == [
-        [(1, 0, 150), (3, 3, 5)], [(3, 0, 3)], [(0, 0, 750), (2, 0, 30)]]
+    for workers in (1, 2):
+        assert engine._pieces(groups, 10, 5, total, workers) == whole[::-1]
+    assert engine._pieces(groups, 10, 5, total, 3) == [
+        (3, 0, 3), (2, 0, 30), (3, 3, 5), (1, 0, 150), (0, 0, 750)]
     for workers in (2, 3, 4, 7, 50):
-        jobs = engine._plan(groups, 10, 5, total, workers)
-        assert 1 < len(jobs) <= workers
-        assert all(job == sorted(job) for job in jobs) and all(jobs[1:])
+        pieces = engine._pieces(groups, 10, 5, total, workers)
+        costs = [(b - a) * cost_rv(10, groups[i][0], 5) for i, a, b in pieces]
+        assert costs == sorted(costs, reverse=True)
         # Every node in exactly one piece, only a group dearer than an equal
         # share is cut, and the cuts add fewer than `workers` pieces.
         covered = {}
-        for i, a, b in sorted(piece for job in jobs for piece in job):
+        for i, a, b in sorted(pieces):
             assert a == covered.get(i, 0) < b
             covered[i] = b
         assert covered == {i: b for i, _, b in whole}
         for i, (depth, paths, _, _) in enumerate(groups):
-            cut = sum(piece[0] == i for job in jobs for piece in job) > 1
+            cut = sum(piece[0] == i for piece in pieces) > 1
             assert cut == (len(paths) * cost_rv(10, depth, 5) * workers
                            > total)
-        assert sum(len(job) for job in jobs) - len(groups) <= workers - 1
-    # Job 0 stays the calling thread's with no group to run: at 50 workers
-    # the root's own blocks already exceed a share.
-    assert engine._plan(groups, 10, 5, total, 50)[0] == []
+        assert len(pieces) - len(groups) <= workers - 1
     # At d = 10, n = 3, M = 2 and three workers the depth-2 group (43.9%)
-    # is cut in two, and both halves are dealt to one job, which draws them
-    # as one piece.
-    groups = _root_groups(3, 2)
-    assert engine._plan(groups, 10, 2, cost_rv(10, 3, 2), 3) == [
-        [], [(0, 0, 6)], [(1, 0, 2)]]
+    # is cut in two.
+    assert engine._pieces(_root_groups(3, 2), 10, 2, cost_rv(10, 3, 2),
+                          3) == [(0, 0, 6), (1, 0, 1), (1, 1, 2)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -349,3 +345,52 @@ def test_fanout_draws_each_group_in_one_job(monkeypatch, workers):
     assert [est.value.hex(),
             hashlib.sha256(est.gradient.tobytes()).hexdigest(),
             est.draws] == KNOWN[3, 0]
+
+
+def _terminal_nodes(tally):
+    """The root's child nodes (stream paths of three entries) whose
+    terminal block was drawn, with how often each was."""
+    return Counter(tuple(row) for _, paths, suffixes in tally
+                   if paths.shape[1] == 3 and tuple(suffixes[0]) == (0, -1)
+                   for row in paths.tolist())
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_slow_worker_threads_keep_every_bit(monkeypatch, workers):
+    # Worker threads that draw every block 2 ms late may leave more pieces
+    # to the calling thread, but each piece is still drawn once: the bits, the draw count and, at two workers, the 47
+    # block calls of a one-thread run; at three, where the depth-4 group is
+    # cut in two, every node of the root's child groups is drawn exactly
+    # once, on one thread.
+    problem, config = _sine(3), MlpConfig(depth=5, base=5, root_seed=0)
+    x0 = np.linspace(-0.4, 0.6, 3)
+    tally = []
+    block_uniforms = engine.block_uniforms
+
+    def slow(seed, paths, suffixes, *rest):
+        tally.append((threading.get_ident(), paths, suffixes))
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.002)
+        return block_uniforms(seed, paths, suffixes, *rest)
+
+    monkeypatch.setattr(engine, "block_uniforms", slow)
+    monkeypatch.setattr(engine, "_workers", lambda: 1)
+    evaluate(problem, config, 0.25, x0)
+    one_thread = _terminal_nodes(tally)
+    assert len(one_thread) == 750 + 150 + 30 + 5
+    tally.clear()
+    monkeypatch.setattr(engine, "_workers", lambda: workers)
+    est = evaluate(problem, config, 0.25, x0)
+    assert [est.value.hex(),
+            hashlib.sha256(est.gradient.tobytes()).hexdigest(),
+            est.draws] == KNOWN[3, 0]
+    if workers == 2:
+        assert len(tally) == 47
+    assert _terminal_nodes(tally) == one_thread
+    assert set(one_thread.values()) == {1}
+    # Each node's subtree is drawn on the thread that drew the node.
+    thread_of = {tuple(row): ident for ident, paths, _ in tally
+                 if paths.shape[1] == 3 for row in paths.tolist()}
+    assert all(thread_of[tuple(row[:3])] == ident
+               for ident, paths, _ in tally if paths.shape[1] > 3
+               for row in paths.tolist())
