@@ -52,7 +52,11 @@ def _load_case(spec: str, dimension: int) -> BenchmarkCase:
 def _parse_point(text: str | None, dimension: int) -> np.ndarray:
     if text is None:
         return np.zeros(dimension)
-    parts = [float(p) for p in text.split(",") if p.strip() != ""]
+    try:
+        parts = [float(p) for p in text.split(",") if p.strip() != ""]
+    except ValueError:
+        raise SystemExit(
+            f"error: --x needs comma-separated numbers, got {text!r}") from None
     if len(parts) == 1:
         return np.full(dimension, parts[0])
     if len(parts) != dimension:
@@ -63,14 +67,20 @@ def _parse_point(text: str | None, dimension: int) -> np.ndarray:
 
 
 def _parse_m_rule(text: str, n_max: int) -> list[tuple[int, int]]:
-    """The schedule (n, M), n = 1..n_max, of ``fixed:M`` or of
-    ``floor-n^q`` with a finite exponent q; a q that is not, or an n**q
-    past the float range, exits naming ``--m-rule``."""
+    """The schedule (n, M), n = 1..n_max, of ``fixed:M`` with an integer
+    M >= 1 or of ``floor-n^q`` with a finite exponent q; any other M, a q
+    that is not finite, or an n**q past the float range, exits naming
+    ``--m-rule``."""
     depths = range(1, n_max + 1)
     if text.startswith("fixed:"):
-        m = int(text.split(":", 1)[1])
+        try:
+            m = int(text[len("fixed:"):])
+        except ValueError:
+            m = 0
         if m < 1:
-            raise SystemExit("error: fixed M must be >= 1")
+            raise SystemExit(
+                f"error: --m-rule 'fixed:M' needs an integer M >= 1, "
+                f"got {text!r}")
         return [(n, m) for n in depths]
     if not text.startswith("floor-n^"):
         raise SystemExit(

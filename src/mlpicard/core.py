@@ -260,10 +260,10 @@ def to_canonical(problem: PdeProblem) -> tuple[PdeProblem, TimeMap]:
     return canonical, TimeMap(slope=-2.0, offset=2.0 * horizon)
 
 
-def audit_lipschitz(problem: PdeProblem, n_pairs: int = 256) -> list[str]:
+def audit_lipschitz(problem: PdeProblem) -> list[str]:
     """Sampled check of the declared Lipschitz constants.
 
-    Draws ``n_pairs`` random argument pairs, each coordinate in [-2, 2]
+    Draws 256 random argument pairs, each coordinate in [-2, 2]
     (times in [0, horizon]), from a fixed seed and checks
 
         max(|f(t,x,y,z) - f(t,xx,yy,zz)|, |g(x) - g(xx)|)
@@ -276,6 +276,7 @@ def audit_lipschitz(problem: PdeProblem, n_pairs: int = 256) -> list[str]:
     certify the constants.
     """
     radius = 2.0
+    n_pairs = 256
     rng = np.random.default_rng(0)
     d = problem.dimension
     L = np.asarray(problem.lipschitz_solution, dtype=float)

@@ -91,7 +91,6 @@ offending row.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from collections import deque
@@ -176,25 +175,20 @@ class _Stopped(Exception):
     """A fan-out thread stopped: another thread of its estimate raised."""
 
 
-def resolve_budget(budget: int | None = None) -> int:
-    """Effective draw budget: explicit argument, else the environment
-    variable ``MLPICARD_COST_BUDGET``, else one billion draws.  An argument
-    or a variable that is not a finite number raises ``ValueError`` naming
-    it."""
-    name = "budget"
+def resolve_budget() -> int:
+    """Effective draw budget: the environment variable
+    ``MLPICARD_COST_BUDGET``, else one billion draws.  A variable that is
+    not a finite number raises ``ValueError`` naming it."""
+    budget = os.environ.get(BUDGET_ENV_VAR)
     if budget is None:
-        budget = os.environ.get(BUDGET_ENV_VAR)
-        if budget is None:
-            return DEFAULT_COST_BUDGET
-        name = BUDGET_ENV_VAR
-    if isinstance(budget, numbers.Integral):
-        return int(budget)
+        return DEFAULT_COST_BUDGET
     try:
         value = float(budget)
-    except (TypeError, ValueError):
+    except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"{name}={budget!r} is not a finite number of draws")
+        raise ValueError(
+            f"{BUDGET_ENV_VAR}={budget!r} is not a finite number of draws")
     return int(value)
 
 
@@ -211,7 +205,6 @@ def evaluate(
     t: float,
     x: np.ndarray,
     theta: ThetaPath = (0,),
-    budget: int | None = None,
 ) -> FieldEstimate:
     """Single depth-``config.depth`` estimate of (u(t, x), grad u(t, x)).
 
@@ -253,18 +246,18 @@ def evaluate(
             f"t={t} >= horizon {problem.horizon}; at the horizon the field "
             "is (g(x), 0) exactly and needs no estimation")
     vec, draws = _estimates(problem, config, np.array([t], dtype=float),
-                            x[None, :], path_array(theta, "theta"), budget)
+                            x[None, :], path_array(theta, "theta"))
     return FieldEstimate(value=float(vec[0, 0]), gradient=vec[0, 1:].copy(),
                          draws=draws)
 
 
-def _estimates(problem, config, t, x, paths, budget=None):
+def _estimates(problem, config, t, x, paths):
     """``(K, 1+d)`` estimates and their total draws: row k is
-    ``evaluate(problem, config, t[k], x[k], paths[k], budget)`` bit for bit,
+    ``evaluate(problem, config, t[k], x[k], paths[k])`` bit for bit,
     without its query checks.  :func:`_batch` takes the nodes in chunks of
     at most ``CHUNK_MAX_DRAWS`` predicted draws (one node where one costs
     more), fanned out when all K cost at least ``FANOUT_MIN_DRAWS``."""
-    allowed = resolve_budget(budget)
+    allowed = resolve_budget()
     predicted = cost_rv(problem.dimension, config.depth, config.base)
     if predicted > allowed:
         raise DepthCostGuard(
@@ -603,7 +596,7 @@ def replicate(
 ) -> list[FieldEstimate]:
     """``replications`` independent estimates in replication order,
     replication k using the stream family rooted at path (k,), each under
-    the default draw budget (see :func:`resolve_budget`).  A count that is
+    the draw budget (see :func:`resolve_budget`).  A count that is
     not an int64 integer (a ``bool`` is not), or is below one, raises
     :class:`~mlpicard.core.InvalidProblem` naming ``replications``."""
     if not is_int64(replications):

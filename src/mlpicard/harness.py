@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -99,18 +99,10 @@ class ConvergenceRow:
     wall_seconds: float
 
     def as_csv(self) -> list[str]:
-        return [
-            self.case,
-            str(self.n),
-            str(self.base),
-            str(self.replications),
-            repr(self.rmse_value),
-            repr(self.rmse_grad_max),
-            repr(self.combined_error),
-            repr(self.error_bound),
-            str(self.draws),
-            repr(self.wall_seconds),
-        ]
+        """The cells in field order, which is ``CSV_COLUMNS``' order:
+        ``repr`` of the float fields, ``str`` of the others."""
+        return [(repr if field.type == "float" else str)(
+            getattr(self, field.name)) for field in fields(self)]
 
 
 def _row_error_bound(
@@ -148,7 +140,7 @@ def run_convergence(
     include_timing: bool = False,
 ) -> list[ConvergenceRow]:
     """Replicated error table over a schedule of (n, M) pairs, at the
-    default time CDF exponent and draw budget.
+    default time CDF exponent, under the draw budget of the cost guard.
 
     ``t`` is in the case's own clock (``None`` means canonical time 0, i.e.
     the start of the backward interval — the forward horizon for forward

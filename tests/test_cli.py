@@ -68,6 +68,14 @@ def test_solve_point_dimension_mismatch_exits():
               "--n", "1", "--M", "1", "--x", "1,2,3"])
 
 
+def test_solve_bad_point_names_the_flag(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", "--case", "linear-heat-quadratic", "--n", "1",
+              "--M", "1", "--x", "a"])
+    assert str(excinfo.value) == (
+        "error: --x needs comma-separated numbers, got 'a'")
+
+
 def test_converge_with_case_file(tmp_path, capsys):
     case_path = tmp_path / "case.txt"
     case_path.write_text("case = grad-free-exponential\ndimension = 1\n")
@@ -123,7 +131,8 @@ def test_case_file_bad_lambda_or_c_reports_error(tmp_path, capsys, line,
 
 def test_converge_rejects_bad_m_rule(tmp_path):
     # floor-n^1e4 is 1 at n = 1 and overflows a float at n = 2.
-    for rule in ("banana", "floor-n^inf", "floor-n^1e4", "floor-n^nan"):
+    for rule in ("banana", "floor-n^inf", "floor-n^1e4", "floor-n^nan",
+                 "fixed:x", "fixed:", "fixed:0", "fixed:2.5"):
         with pytest.raises(SystemExit) as excinfo:
             main(["converge", "--case", "grad-free-exponential", "--n-max",
                   "2", "--m-rule", rule, "--out", str(tmp_path / "x.csv")])

@@ -189,7 +189,7 @@ def test_canonical_nonlinearity_is_halved_and_time_mapped():
 
 def test_audit_accepts_honest_constants():
     prob = make_problem()
-    assert audit_lipschitz(prob, n_pairs=512) == []
+    assert audit_lipschitz(prob) == []
 
 
 def test_audit_flags_understated_constants():
@@ -199,7 +199,7 @@ def test_audit_flags_understated_constants():
         lipschitz_solution=(0.5, 0.0),
         lipschitz_space=(1.0,),
     )
-    breaches = audit_lipschitz(liar, n_pairs=512)
+    breaches = audit_lipschitz(liar)
     assert breaches
     assert "exceed allowance" in breaches[0]
 
@@ -209,7 +209,7 @@ def test_audit_flags_understated_space_constant():
         terminal_data=lambda x: 5.0 * x.sum(axis=1),
         lipschitz_space=(1.0,),
     )
-    assert audit_lipschitz(liar, n_pairs=512)
+    assert audit_lipschitz(liar)
 
 
 def test_field_estimate_vector_layout():

@@ -518,13 +518,11 @@ def test_invalid_problem_rejected():
 def test_cost_guard_blocks_oversized_runs(monkeypatch):
     prob = linear_problem()
     config = MlpConfig(depth=2, base=2)  # costs 28 draws
-    with pytest.raises(DepthCostGuard):
-        evaluate(prob, config, 0.0, np.array([0.0]), budget=10)
     monkeypatch.setenv(BUDGET_ENV_VAR, "10")
     with pytest.raises(DepthCostGuard):
         evaluate(prob, config, 0.0, np.array([0.0]))
-    # An explicit budget argument outranks the environment variable.
-    est = evaluate(prob, config, 0.0, np.array([0.0]), budget=28)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "28")
+    est = evaluate(prob, config, 0.0, np.array([0.0]))
     assert est.draws == 28
 
 
@@ -541,7 +539,6 @@ def test_resolve_budget_precedence(monkeypatch):
     assert resolve_budget() == DEFAULT_COST_BUDGET
     monkeypatch.setenv(BUDGET_ENV_VAR, "5e6")
     assert resolve_budget() == 5_000_000
-    assert resolve_budget(123) == 123
 
 
 @pytest.mark.parametrize("theta", [(1.5,), (True,), (np.bool_(True),),
@@ -562,12 +559,14 @@ def test_numpy_integer_theta_matches_python_int():
     assert a.value == b.value and np.array_equal(a.gradient, b.gradient)
 
 
-@pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, "abc"])
-def test_non_finite_budget_argument_rejected(budget):
-    with pytest.raises(ValueError,
-                       match="budget=.* is not a finite number of draws"):
+@pytest.mark.parametrize("budget", ["nan", "inf", "-inf", "abc"])
+def test_non_finite_budget_argument_rejected(monkeypatch, budget):
+    # The variable is the budget's one setting.
+    monkeypatch.setenv(BUDGET_ENV_VAR, budget)
+    with pytest.raises(ValueError, match=(
+            f"{BUDGET_ENV_VAR}='{budget}' is not a finite number of draws")):
         evaluate(linear_problem(), MlpConfig(depth=1, base=1), 0.0,
-                 np.array([0.0]), budget=budget)
+                 np.array([0.0]))
 
 
 def test_rmse_zero_for_exact_estimates():

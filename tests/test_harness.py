@@ -27,6 +27,8 @@ from mlpicard.cases import (
     registration_residual,
 )
 from mlpicard.harness import (
+    CSV_COLUMNS,
+    ConvergenceRow,
     run_test_battery,
     unbiasedness_gap,
     verify_integral_identities,
@@ -173,6 +175,14 @@ def test_csv_output_is_byte_identical_across_runs(tmp_path):
     header = blobs[0].split(b"\r\n", 1)[0]
     assert header == (b"case,n,M,replications,rmse_value,rmse_grad_max,"
                       b"combined_error,error_bound,draws,wall_seconds")
+
+
+def test_csv_columns_name_the_row_fields():
+    # as_csv writes the fields in order under CSV_COLUMNS; field base is
+    # column M.
+    names = [field.name for field in dataclasses.fields(ConvergenceRow)]
+    assert [{"base": "M"}.get(name, name) for name in names] == list(
+        CSV_COLUMNS)
 
 
 def test_empirical_error_sits_below_a_priori_bound():

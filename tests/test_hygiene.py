@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no private
 helper or method of the package is left without a caller outside the
-tests, and the public surface is the one the README documents.
+tests, no public function keeps a defaulted parameter that only the tests
+set, and the public surface is the one the README documents.
 
 No linter is configured for the project, so this scans the package and the
 test modules with the standard library's ``ast``.  ``from __future__``
@@ -141,6 +142,82 @@ def test_no_dead_private_helpers():
     assert dead_helpers(
         {path.stem: path.read_text() for path in package.glob("*.py")},
         {path.stem: path.read_text() for path in bench.glob("*.py")}) == []
+
+
+def unpassed_defaults(package: dict[str, str],
+                      callers: dict[str, str] | None = None) -> list[str]:
+    """Defaulted parameters of the module-level public functions of
+    ``package`` (module name -> source) that no call in ``package`` or
+    ``callers`` passes, by position or by keyword, as ``module.function(
+    name=)``.  A call names a function directly, through an import alias or
+    as an attribute; a ``*args`` or ``**kwargs`` argument counts as passing
+    every parameter it could reach.  Tests are not callers: a parameter only
+    a test sets counts as unused."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    params = {}  # (function, parameter) -> (module, position or None)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, ast.FunctionDef)
+                    or node.name.startswith("_")):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                params[node.name, arg.arg] = (module, i)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    params[node.name, arg.arg] = (module, None)
+    passed = set()
+    for tree in [*trees.values(),
+                 *(ast.parse(source) for source in (callers or {}).values())]:
+        aliases = {alias.asname: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   for alias in node.names if alias.asname}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = (aliases.get(func.id, func.id) if isinstance(func, ast.Name)
+                    else getattr(func, "attr", None))
+            keywords = {keyword.arg for keyword in call.keywords}
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            for function, param in params:
+                position = params[function, param][1]
+                if function == name and (
+                        param in keywords or None in keywords
+                        or position is not None
+                        and (position < len(call.args) or starred)):
+                    passed.add((function, param))
+    return sorted(f"{params[key][0]}.{key[0]}({key[1]}=)"
+                  for key in params.keys() - passed)
+
+
+def test_unpassed_default_scanner_flags_only_unset_parameters():
+    sources = {"a": ("def solve(x, tol=1e-6, *, steps=10, log=None):\n"
+                     "    return x\n"
+                     "def scale(x, by=2):\n    return x * by\n"
+                     "def _private(x, unused=0):\n    return x\n"
+                     "def spread(x, a=0, b=0, c=0):\n    return x\n"),
+               "b": ("from a import solve as run, spread\n"
+                     "run(1, 1e-3)\nspread(*[1, 2])\nspread(1, **{})\n")}
+    # No call passes scale's `by` or solve's `log`; only bench/ passes
+    # solve's `steps`.
+    bench = {"worker": "import a\na.solve(1, steps=5)\n"}
+    assert unpassed_defaults(sources, bench) == [
+        "a.scale(by=)", "a.solve(log=)"]
+    assert unpassed_defaults(sources)[-1] == "a.solve(steps=)"
+
+
+def test_no_parameter_only_tests_set():
+    package = ROOT / "src" / "mlpicard"
+    bench = ROOT / "bench"
+    unpassed = unpassed_defaults(
+        {path.stem: path.read_text() for path in package.glob("*.py")},
+        {path.stem: path.read_text() for path in bench.glob("*.py")})
+    # The console script calls main() bare, to parse sys.argv; argv is
+    # for callers that parse a list of their own.
+    assert [name for name in unpassed if name != "cli.main(argv=)"] == []
 
 
 # The README's functions for library use, and the classes and exceptions
