@@ -31,7 +31,6 @@ __all__ = [
     "BUILTIN_CASES",
     "builtin_case",
     "registration_residual",
-    "load_case_file",
     "default_eval_points",
 ]
 
@@ -275,34 +274,3 @@ def builtin_case(
             f"case {name}: max PDE residual {worst:.3e} >= {RESIDUAL_GATE}")
     return case
 
-
-def load_case_file(path: str) -> BenchmarkCase:
-    """Build a builtin case from a key=value text file.
-
-    Recognized keys: ``case`` (required), ``dimension``, ``horizon``,
-    ``lambda``, ``c``.  Lines starting with ``#`` and blank lines are
-    ignored.
-    """
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    known = {"case", "dimension", "horizon", "lambda", "c"}
-    unknown = set(values) - known
-    if unknown:
-        raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
-    if "case" not in values:
-        raise ValueError(f"{path}: missing required key 'case'")
-    return builtin_case(
-        values["case"],
-        dimension=int(values.get("dimension", "1")),
-        horizon=float(values["horizon"]) if "horizon" in values else None,
-        lam=float(values.get("lambda", str(DEFAULT_LAMBDA))),
-        c=float(values.get("c", str(DEFAULT_COEFF))),
-    )

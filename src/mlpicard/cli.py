@@ -1,17 +1,17 @@
 """Command-line front end: solve, converge, verify-integrals, cost,
 schedule, battery.
 
-Benchmark cases are named builtins (``--case grad-dependent-sine``) or
-key=value case files (``--case my_problem.txt``); user-defined PDEs enter
-only through the library API.  The draw budget of the cost guard can be
-set with the MLPICARD_COST_BUDGET environment variable.
+Benchmark cases are named builtins (``--case grad-dependent-sine``) with
+``--d``, ``--horizon``, ``--lambda`` and ``--c``; a run's arguments can be
+kept in a file, one per line, and read with ``@file``.  User-defined PDEs
+enter only through the library API.  The draw budget of the cost guard can
+be set with the MLPICARD_COST_BUDGET environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -28,10 +28,11 @@ from .core import InvalidProblem, MlpConfig, to_canonical
 from .engine import DepthCostGuard, QueryAtTerminalTime, replicate, rmse
 from .cases import (
     BUILTIN_CASES,
+    DEFAULT_COEFF,
+    DEFAULT_LAMBDA,
     BenchmarkCase,
     UnknownCase,
     builtin_case,
-    load_case_file,
 )
 from .harness import (
     run_convergence,
@@ -43,10 +44,8 @@ from .harness import (
 __all__ = ["main"]
 
 
-def _load_case(spec: str, dimension: int) -> BenchmarkCase:
-    if os.path.exists(spec):
-        return load_case_file(spec)
-    return builtin_case(spec, dimension=dimension)
+def _case(args: argparse.Namespace) -> BenchmarkCase:
+    return builtin_case(args.case, args.d, args.horizon, args.lam, args.c)
 
 
 def _parse_point(text: str | None, dimension: int) -> np.ndarray:
@@ -57,6 +56,8 @@ def _parse_point(text: str | None, dimension: int) -> np.ndarray:
     except ValueError:
         raise SystemExit(
             f"error: --x needs comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, parts)):
+        raise SystemExit(f"error: --x needs finite numbers, got {text!r}")
     if len(parts) == 1:
         return np.full(dimension, parts[0])
     if len(parts) != dimension:
@@ -97,7 +98,7 @@ def _parse_m_rule(text: str, n_max: int) -> list[tuple[int, int]]:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    case = _load_case(args.case, args.d)
+    case = _case(args)
     canonical, tmap = to_canonical(case.problem)
     s = tmap(args.t) if args.t is not None else 0.0
     if not 0.0 <= s < canonical.horizon:
@@ -127,7 +128,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    case = _load_case(args.case, args.d)
+    case = _case(args)
     schedule = _parse_m_rule(args.m_rule, args.n_max)
     rows = run_convergence(
         case, schedule, replications=args.reps, seed=args.seed,
@@ -164,7 +165,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    case = _load_case(args.case, args.d)
+    case = _case(args)
     if case.norm_overrides is None:
         raise SystemExit(f"error: case {case.name} carries no norm data")
     canonical, _ = to_canonical(case.problem)
@@ -199,15 +200,24 @@ def _build_parser() -> argparse.ArgumentParser:
             "Full-history recursive multilevel Picard solver for semilinear "
             "heat equations: joint (value, gradient) estimates at a point "
             "with exact draw-cost accounting."),
+        epilog="An argument @FILE stands for the arguments in FILE, one "
+               "per line.",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_case(p, with_point=True):
         p.add_argument("--case", required=True,
-                       help=f"builtin name ({', '.join(BUILTIN_CASES)}) "
-                            "or a key=value case file")
+                       help=f"builtin name: {', '.join(BUILTIN_CASES)}")
         p.add_argument("--d", type=int, default=1,
-                       help="dimension for builtin names (default 1)")
+                       help="dimension (default 1)")
+        p.add_argument("--horizon", type=float, default=None,
+                       help="horizon (default: the case's own)")
+        p.add_argument("--lambda", dest="lam", metavar="LAMBDA", type=float,
+                       default=DEFAULT_LAMBDA, help="growth rate of the sine "
+                       f"cases' solutions (default {DEFAULT_LAMBDA})")
+        p.add_argument("--c", type=float, default=DEFAULT_COEFF,
+                       help=f"gradient coupling (default {DEFAULT_COEFF})")
         p.add_argument("--seed", type=int, default=0)
         if with_point:
             p.add_argument("--t", type=float, default=None,

@@ -114,11 +114,17 @@ def _node_keys(root_seed: int, paths: np.ndarray, salts: np.ndarray,
                mults: np.ndarray, seed_mult: int) -> np.ndarray:
     """Unmixed key sums of the rows of the ``(K, L)`` int64 ``paths`` over
     their L entries: ``root_seed * seed_mult`` plus ``(p_j XOR s_j) * a_j``
-    mod 2**64, with s_j and a_j the first L ``salts`` and ``mults``."""
+    mod 2**64, with s_j and a_j the first L ``salts`` and ``mults``.  A
+    ``root_seed`` that is not an integer within int64 raises ``ValueError``:
+    conversion would truncate 1.5 to 1, so two seeds would share streams."""
+    # A plain int, which the engine passes, costs a type and range test.
+    if not (type(root_seed) is int and -(1 << 63) <= root_seed < (1 << 63)
+            or is_int64(root_seed)):
+        raise ValueError(f"root_seed={root_seed!r} is not an int64 integer")
     length = paths.shape[1]
-    # Python-int arithmetic: a numpy-scalar overflow would warn.  np.int64
-    # rejects a seed outside int64.  reduce takes the Python int as uint64.
-    seed_term = (int(np.int64(root_seed)) * seed_mult) & _MASK
+    # Python-int arithmetic: a numpy-scalar overflow would warn.  reduce
+    # takes the Python int as uint64.
+    seed_term = (int(root_seed) * seed_mult) & _MASK
     # Not in place: numpy runs in-place ufuncs on one-element arrays, such
     # as the node of a root (K = L = 1), about twice as slowly.
     terms = (paths.view(np.uint64) ^ salts[:length]) * mults[:length]
@@ -139,7 +145,10 @@ def _words(keys: np.ndarray, width: int) -> np.ndarray:
     ``keys``, which this call overwrites: row j is
     ``mix64(mix64(keys[j]) + i * gamma)``, i = 1..``width``.  The words are
     drawn lane-major, as a ``(width, R)`` array whose passes run R elements
-    long, and returned as its transpose, an ``(R, width)`` view."""
+    long, and returned as its transpose, an ``(R, width)`` view.  A
+    ``width`` that is not an integer >= 0 raises ``ValueError``."""
+    if not (type(width) is int or is_int64(width)) or width < 0:
+        raise ValueError(f"draw count must be an integer >= 0, got {width!r}")
     return _mix64(_steps(width)[:, None] + _mix64(keys)).T
 
 
@@ -189,13 +198,9 @@ def stream_uniforms(
 
     The one-row case of :func:`block_uniforms`: word i is
     ``mix64(key + i * gamma)`` for the path's key (see the module
-    docstring).  A ``root_seed`` that is not an integer within int64 raises
-    ``ValueError``: conversion would truncate 1.5 to 1.
+    docstring).  A ``root_seed`` that is not an integer within int64, or an
+    ``n`` that is not an integer >= 0, raises ``ValueError``.
     """
-    if not is_int64(root_seed):
-        raise ValueError(f"root_seed={root_seed!r} is not an int64 integer")
-    if n < 0:
-        raise ValueError("draw count must be nonnegative")
     paths = path_array(path, "path")
     keys = _node_keys(root_seed, paths, *_length_constants(paths.shape[1]))
     return _to_uniform(_words(keys, n))[0]
@@ -227,8 +232,9 @@ def block_uniforms(
     over it whatever ``width`` is, and one transposing cast turns them into
     the C-order ``(R, width)`` float64 result.
 
-    An entry of ``base_path`` or ``suffixes`` that is not an integer within
-    int64 raises ``ValueError``, as in :func:`stream_uniforms`; int64
+    A ``root_seed`` or an entry of ``base_path`` or ``suffixes`` that is
+    not an integer within int64, or a ``width`` below 0, raises
+    ``ValueError`` and draws nothing, as in :func:`stream_uniforms`; int64
     arrays, which the engine passes, are taken as they are.
 
     The engine makes one call per block of a whole node group (see
@@ -258,6 +264,7 @@ def block_uniforms(
     keys = ((tail[:, 0] ^ salts[length, ...]) * mults[length, ...]
             + (tail[:, 1] ^ salts[length + 1, ...]) * mults[length + 1, ...]
             + _node_keys(root_seed, base, salts, mults, seed_mult).repeat(m))
+    u = _to_uniform(_words(keys, width))
     if ledger is not None:
         ledger.add(rows * width)
-    return _to_uniform(_words(keys, width))
+    return u

@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line front end via main(argv)."""
 
+import numpy as np
 import pytest
 
+from mlpicard import builtin_case, run_convergence, write_csv
 from mlpicard.cli import main
 
 
@@ -69,26 +71,55 @@ def test_solve_point_dimension_mismatch_exits():
 
 
 def test_solve_bad_point_names_the_flag(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["solve", "--case", "linear-heat-quadratic", "--n", "1",
-              "--M", "1", "--x", "a"])
-    assert str(excinfo.value) == (
-        "error: --x needs comma-separated numbers, got 'a'")
+    for d, text, message in [
+        ("1", "a", "error: --x needs comma-separated numbers, got 'a'"),
+        ("1", "nan", "error: --x needs finite numbers, got 'nan'"),
+        ("1", "inf", "error: --x needs finite numbers, got 'inf'"),
+        ("2", "1,nan", "error: --x needs finite numbers, got '1,nan'"),
+    ]:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "--case", "linear-heat-quadratic", "--d", d,
+                  "--n", "1", "--M", "1", "--x", text])
+        assert str(excinfo.value) == message
 
 
 def test_converge_with_case_file(tmp_path, capsys):
-    case_path = tmp_path / "case.txt"
-    case_path.write_text("case = grad-free-exponential\ndimension = 1\n")
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    for out in (out_a, out_b):
-        rc = main(["converge", "--case", str(case_path), "--n-max", "2",
-                   "--m-rule", "fixed:1", "--reps", "10",
-                   "--out", str(out)])
-        assert rc == 0
+    # A case file holds arguments, one per line, read by argparse: the
+    # table equals the one from the same flags on the command line, and
+    # the library's table of the case they name.
+    case_path = tmp_path / "case.args"
+    case_path.write_text("--case=grad-free-exponential\n--d=2\n"
+                         "--horizon=0.5\n--lambda=0.1\n--c\n0.25\n")
+    out_file, out_flags, out_lib = (tmp_path / f"{name}.csv"
+                                    for name in ("file", "flags", "lib"))
+    run = ["--n-max", "2", "--m-rule", "fixed:1", "--reps", "10"]
+    assert main(["converge", f"@{case_path}", *run,
+                 "--out", str(out_file)]) == 0
+    assert main(["converge", "--case", "grad-free-exponential", "--d", "2",
+                 "--horizon", "0.5", "--lambda", "0.1", "--c", "0.25", *run,
+                 "--out", str(out_flags)]) == 0
     stdout = capsys.readouterr().out
-    assert f"wrote 2 rows to {out_a}" in stdout
-    assert out_a.read_bytes() == out_b.read_bytes()
+    assert f"wrote 2 rows to {out_file}" in stdout
+    case = builtin_case("grad-free-exponential", 2, 0.5, 0.1, 0.25)
+    write_csv(run_convergence(case, [(1, 1), (2, 1)], replications=10,
+                              x=np.zeros(2)), str(out_lib))
+    assert out_file.read_bytes() == out_flags.read_bytes()
+    assert out_file.read_bytes() == out_lib.read_bytes()
+
+
+def test_a_file_named_like_a_case_does_not_shadow_it(tmp_path, monkeypatch,
+                                                     capsys):
+    # --case reads builtin names only, so a file of that name in the working
+    # directory changes nothing.
+    argv = ["solve", "--case", "forward-heat", "--t", "0.25", "--n", "1",
+            "--M", "1", "--reps", "3"]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    alone = capsys.readouterr()
+    (tmp_path / "forward-heat").write_text("case = linear-heat-quadratic\n")
+    assert main(argv) == 0
+    assert capsys.readouterr() == alone
+    assert "case: forward-heat" in alone.out
 
 
 @pytest.mark.parametrize("d", ["0", "-1"])
@@ -103,30 +134,49 @@ def test_solve_bad_dimension_reports_error(capsys, d):
 
 @pytest.mark.parametrize("horizon", ["-1", "inf", "nan"])
 def test_case_file_bad_horizon_reports_error(tmp_path, capsys, horizon):
-    case_path = tmp_path / "case.txt"
-    case_path.write_text(f"case = grad-dependent-sine\nhorizon = {horizon}\n")
-    rc = main(["converge", "--case", str(case_path), "--n-max", "1",
+    case_path = tmp_path / "case.args"
+    case_path.write_text(f"--case=grad-dependent-sine\n--horizon={horizon}\n")
+    rc = main(["converge", f"@{case_path}", "--n-max", "1",
                "--out", str(tmp_path / "x.csv")])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == (f"error: horizon must be finite and > 0, "
                             f"got {float(horizon)!r}\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("line, message", [
-    ("lambda = 1000",
+BAD_CASE_FLAGS = [
+    ("--horizon=-1", "horizon must be finite and > 0, got -1.0"),
+    ("--horizon=inf", "horizon must be finite and > 0, got inf"),
+    ("--horizon=nan", "horizon must be finite and > 0, got nan"),
+    ("--lambda=1000",
      "lam=1000.0 overflows e^(lam T) on the canonical horizon T=1.0"),
-    ("lambda = nan", "lam must be finite, got nan"),
-    ("c = inf", "c must be finite, got inf"),
-])
-def test_case_file_bad_lambda_or_c_reports_error(tmp_path, capsys, line,
-                                                 message):
-    case_path = tmp_path / "case.txt"
-    case_path.write_text(f"case = grad-dependent-sine\n{line}\n")
-    rc = main(["solve", "--case", str(case_path), "--n", "1", "--M", "1"])
+    ("--lambda=nan", "lam must be finite, got nan"),
+    ("--c=inf", "c must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("flag, message", BAD_CASE_FLAGS,
+                         ids=[flag for flag, _ in BAD_CASE_FLAGS])
+def test_bad_case_flag_reports_error(capsys, flag, message):
+    rc = main(["solve", "--case", "grad-dependent-sine", flag,
+               "--n", "1", "--M", "1"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, value, kind", [
+    ("--d", "2.5", "int"), ("--lambda", "abc", "float"),
+    ("--horizon", "x", "float"), ("--c", "1e", "float"),
+])
+def test_case_flag_parse_error_names_the_flag(capsys, flag, value, kind):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", "--case", "grad-dependent-sine", flag, value,
+              "--n", "1", "--M", "1"])
+    assert excinfo.value.code == 2
+    assert (f"error: argument {flag}: invalid {kind} value: {value!r}"
+            in capsys.readouterr().err)
 
 
 def test_converge_rejects_bad_m_rule(tmp_path):

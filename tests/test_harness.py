@@ -23,7 +23,6 @@ from mlpicard.cases import (
     BUILTIN_CASES,
     RESIDUAL_GATE,
     default_eval_points,
-    load_case_file,
     registration_residual,
 )
 from mlpicard.harness import (
@@ -83,39 +82,6 @@ def test_default_eval_points():
     assert np.array_equal(points[0], np.zeros(4))
     assert np.allclose(points[1], np.full(4, 0.5))
     assert np.linalg.norm(points[1]) == pytest.approx(1.0)
-
-
-def test_case_file_round_trip(tmp_path):
-    path = tmp_path / "case.txt"
-    path.write_text(
-        "# benchmark description file\n"
-        "case = grad-free-exponential\n"
-        "dimension = 2\n"
-        "\n"
-        "lambda = 0.1\n"
-    )
-    case = load_case_file(str(path))
-    assert case.name == "grad-free-exponential"
-    assert case.problem.dimension == 2
-    # lambda enters the solution amplitude e^(lam T).
-    value, _ = case.exact(0.0, np.zeros(2))
-    assert value == pytest.approx(0.0)
-    assert case.u_moment_override == pytest.approx(math.exp(0.1))
-
-
-def test_case_file_errors(tmp_path):
-    missing = tmp_path / "missing.txt"
-    missing.write_text("dimension = 2\n")
-    with pytest.raises(ValueError, match="missing required key"):
-        load_case_file(str(missing))
-    unknown = tmp_path / "unknown.txt"
-    unknown.write_text("case = forward-heat\nfoo = 1\n")
-    with pytest.raises(ValueError, match="unknown keys"):
-        load_case_file(str(unknown))
-    malformed = tmp_path / "malformed.txt"
-    malformed.write_text("case grad-free-exponential\n")
-    with pytest.raises(ValueError, match="expected key = value"):
-        load_case_file(str(malformed))
 
 
 def test_reference_values_agree_across_conventions():

@@ -12,6 +12,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import shlex
 import sys
 from collections import Counter
 from pathlib import Path
@@ -22,6 +23,7 @@ import mlpicard
 from mlpicard import (
     MlpConfig,
     builtin_case,
+    cli,
     cost_rv,
     engine,
     harness,
@@ -256,6 +258,34 @@ def test_readme_imports_resolve():
                for node in imports for alias in node.names
                if not hasattr(importlib.import_module(node.module), alias.name)]
     assert missing == []
+
+
+def test_readme_command_lines_parse(tmp_path, monkeypatch, capsys):
+    # Every mlpicard command line of the README's Command line section, in
+    # its shell block or in prose, parses without running, so the docs name
+    # no flag the parser lacks.  Its @file example reads the file written
+    # from the section's plain block.
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = dict(re.findall(r"^```(\w*)\n(.*?)^```", section,
+                             flags=re.M | re.S))
+    lines = [line for line in blocks["sh"].replace("\\\n", " ").splitlines()
+             if line.startswith("mlpicard ")]
+    lines += re.findall(r"`(mlpicard [^`]*)`", section)
+    (tmp_path / "case.args").write_text(blocks[""])
+    monkeypatch.chdir(tmp_path)
+    parser = cli._build_parser()
+    failed, parsed = [], {}
+    for line in lines:
+        try:
+            parsed[line] = parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            failed.append((line, capsys.readouterr().err))
+    assert failed == []
+    from_file = [args for line, args in parsed.items() if "@case.args" in line]
+    assert len(lines) >= 9 and from_file
+    assert all(args.case == "grad-dependent-sine" and args.d == 8
+               for args in from_file)
 
 
 def test_traced_names_exist(monkeypatch):

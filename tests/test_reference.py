@@ -1,6 +1,6 @@
 """The group engine against the node-by-node reference of
-``tests/reference.py``, bit for bit, and the recursion's zero-difference
-law."""
+``tests/reference.py``, bit for bit, and three structural laws of the
+recursion: zero difference, time shift and linearity in g."""
 
 from functools import lru_cache
 
@@ -102,3 +102,81 @@ def test_zero_difference_law(d, n, base, e, t, seed, data):
                                        time_cdf_exponent=e), t, x)
     assert deep.value.hex() == flat.value.hex()
     assert deep.gradient.tobytes() == flat.gradient.tobytes()
+
+
+def _autonomous_problem(d, horizon, a, b):
+    """f = a y + b tanh(sum z) and g = mean sin: neither reads t."""
+    return PdeProblem(
+        dimension=d,
+        horizon=horizon,
+        terminal_data=lambda x: np.sin(x).sum(axis=1) / x.shape[1],
+        nonlinearity=lambda t, x, y, z: a * y + b * np.tanh(z.sum(axis=1)),
+        lipschitz_solution=(abs(a),) + (abs(b),) * d,
+        lipschitz_space=(1.0,) * d,
+    )
+
+
+def _agree(a, b):
+    """Every coordinate of b within 1e-12 of the largest of a."""
+    return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 3), base=st.integers(1, 3),
+       e=st.floats(0.05, 0.95), horizon=st.floats(0.25, 4.0),
+       start=st.floats(0.0, 0.9), a=st.floats(-1.0, 1.0),
+       b=st.floats(-1.0, 1.0), seed=st.integers(-2**63, 2**63 - 1),
+       data=st.data())
+def test_time_shift_law(d, n, base, e, horizon, start, a, b, seed, data):
+    # f and g do not read the clock, so an estimate at (t, x) on horizon T
+    # sees t only through T - t: it equals the estimate at (0, x) on horizon
+    # T - t on the same streams, up to the rounding of the child clocks
+    # (t + (T - t) r against (T - t) r).
+    t = start * horizon
+    x = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d,
+                                    max_size=d)))
+    config = MlpConfig(depth=n, base=base, root_seed=seed,
+                       time_cdf_exponent=e)
+    late = evaluate(_autonomous_problem(d, horizon, a, b), config, t, x)
+    early = evaluate(_autonomous_problem(d, horizon - t, a, b), config, 0.0,
+                     x)
+    assert _agree(late.as_vector(), early.as_vector())
+
+
+def _linear_problem(d, g):
+    """f = 0 and terminal data ``g``."""
+    return PdeProblem(
+        dimension=d,
+        horizon=1.0,
+        terminal_data=g,
+        nonlinearity=lambda t, x, y, z: np.zeros(len(y)),
+        lipschitz_solution=(0.0,) * (d + 1),
+        lipschitz_space=(1.0,) * d,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 3), base=st.integers(1, 3),
+       e=st.floats(0.05, 0.95), t=st.floats(0.0, 0.9),
+       seed=st.integers(-2**63, 2**63 - 1), data=st.data())
+def test_linearity_in_g(d, n, base, e, t, seed, data):
+    # With f = 0 the estimate is linear in g: on the same streams the
+    # estimate for g1 + g2 is the sum of those for g1 and g2, up to rounding.
+    # The gradient divides g's differences by sqrt(T - t), which scales
+    # that rounding up without bound as t nears T = 1; at t <= 0.9 it stays
+    # below 1e-15 of the largest coordinate.
+    x = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d,
+                                    max_size=d)))
+    config = MlpConfig(depth=n, base=base, root_seed=seed,
+                       time_cdf_exponent=e)
+
+    def g1(p):
+        return np.sin(p).sum(axis=1) / p.shape[1]
+
+    def g2(p):
+        return np.cos(p).sum(axis=1)
+
+    both, one, two = (
+        evaluate(_linear_problem(d, g), config, t, x).as_vector()
+        for g in (lambda p: g1(p) + g2(p), g1, g2))
+    assert _agree(both, one + two)

@@ -91,9 +91,20 @@ def test_ledger_counts_scalar_draws():
     assert ledger.scalar_draws == 8
 
 
+# Each draws n uniforms from a seed: a stream, and a one-row block whose
+# draws the ledger counts.
+_DRAWS = (
+    lambda seed, n, ledger: stream_uniforms(seed, (1,), n),
+    lambda seed, n, ledger: block_uniforms(seed, (1,), [(0, 1)], n, ledger),
+)
+
+
 def test_negative_draw_count_rejected():
-    with pytest.raises(ValueError):
-        stream_uniforms(0, (1,), -1)
+    for draw in _DRAWS:
+        ledger = DrawLedger()
+        with pytest.raises(ValueError, match="draw count"):
+            draw(0, -3, ledger)
+        assert ledger.scalar_draws == 0
 
 
 @pytest.mark.parametrize("path", [(1.5,), (True,), (np.bool_(False),),
@@ -110,8 +121,11 @@ def test_non_integer_path_entries_rejected(path):
 def test_non_integer_root_seed_rejected(seed):
     # int64 conversion would truncate 1.5 to 1, so two seeds would share
     # every stream.
-    with pytest.raises(ValueError, match="root_seed"):
-        stream_uniforms(seed, (1,), 4)
+    for draw in _DRAWS:
+        ledger = DrawLedger()
+        with pytest.raises(ValueError, match="root_seed"):
+            draw(seed, 4, ledger)
+        assert ledger.scalar_draws == 0
 
 
 @pytest.mark.parametrize("base, suffix, name", [
