@@ -4,7 +4,8 @@ The four cases cover pure terminal data, a value-only nonlinearity, a
 gradient-dependent nonlinearity and the forward convention.  The last three
 share one solution, u(t, x) = e^(lam (T - t)) mean_i sin x_i, built by one
 function; ``forward-heat`` is ``grad-dependent-sine`` on the doubled
-horizon with its nonlinearity and clock rewritten.
+horizon with its nonlinearity and clock rewritten.  A factory takes only
+what its case reads: ``lam`` the sine cases, ``c`` the last two.
 
 Each case carries its exact (value, gradient) and the exact moment norms of
 its canonical form for the error bound.  :func:`builtin_case` runs a
@@ -15,6 +16,7 @@ in either the PDE data or the claimed solution cannot slip through.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -78,7 +80,7 @@ def default_eval_points(dimension: int) -> list[np.ndarray]:
     ]
 
 
-def _quadratic_case(d: int, T: float, lam: float, c: float) -> BenchmarkCase:
+def _quadratic_case(d: int, T: float) -> BenchmarkCase:
     # g(x) = |x|^2, f = 0; u(t, x) = |x|^2 + d (T - t), grad u = 2x.
     def g(x):
         return (x**2).sum(axis=1)
@@ -146,14 +148,16 @@ def _sine(name: str, d: int, T: float, lam: float, c: float, k: float,
     return BenchmarkCase(name, problem, exact, reg, amp0)
 
 
-def _exponential_case(d: int, T: float, lam: float, c: float) -> BenchmarkCase:
+def _exponential_case(d: int, T: float,
+                      lam: float = DEFAULT_LAMBDA) -> BenchmarkCase:
     def f(t, x, y, z):
         return (lam + 0.5) * y
 
     return _sine("grad-free-exponential", d, T, lam, 0.0, 1.0 / d, f)
 
 
-def _gradient_case(d: int, T: float, lam: float, c: float) -> BenchmarkCase:
+def _gradient_case(d: int, T: float, lam: float = DEFAULT_LAMBDA,
+                   c: float = DEFAULT_COEFF) -> BenchmarkCase:
     # The c (sum_i z_i - sum_i du/dx_i) term vanishes at the true solution
     # but forces the estimator to carry correct gradients through the
     # recursion.
@@ -165,7 +169,8 @@ def _gradient_case(d: int, T: float, lam: float, c: float) -> BenchmarkCase:
     return _sine("grad-dependent-sine", d, T, lam, c, (abs(lam) + 1.0) / d, f)
 
 
-def _forward_case(d: int, tf: float, lam: float, c: float) -> BenchmarkCase:
+def _forward_case(d: int, tf: float, lam: float = DEFAULT_LAMBDA,
+                  c: float = DEFAULT_COEFF) -> BenchmarkCase:
     # w(t, x) = u(2 (T_f - t), x) solves dw/dt = Lap w + f4(t, x, w, grad w)
     # with f4(t, ...) = 2 f3(2 (T_f - t), ...), where u and f3 are the
     # gradient case's on horizon 2 T_f, whose norms this case shares.
@@ -239,19 +244,20 @@ def builtin_case(
     name: str,
     dimension: int = 1,
     horizon: float | None = None,
-    lam: float = DEFAULT_LAMBDA,
-    c: float = DEFAULT_COEFF,
+    lam: float | None = None,
+    c: float | None = None,
 ) -> BenchmarkCase:
     """Construct a builtin case and run its registration residual check.
 
     ``horizon`` defaults to 1.0, except for the forward case where it is the
     forward horizon and defaults to 0.5 (so the canonical horizon is 1.0).
-    Raises ``ValueError`` unless ``dimension`` is an integer >= 1,
-    ``horizon`` finite and > 0 and ``lam`` and ``c`` finite, or when a sine
-    case's amplitude e^(lam T) overflows on its canonical horizon T;
-    :class:`UnknownCase` for a name outside :data:`BUILTIN_CASES`; and
-    :class:`ResidualCheckFailed` if the claimed solution misses the PDE by
-    more than the finite-difference gate.
+    ``lam`` and ``c`` default to the case's own values.  Raises
+    ``ValueError`` unless ``dimension`` is an integer >= 1, ``horizon``
+    finite and > 0 and ``lam`` and ``c`` finite and taken by the case's
+    factory, or when a sine case's amplitude e^(lam T) overflows on its
+    canonical horizon T; :class:`UnknownCase` for a name outside
+    :data:`BUILTIN_CASES`; and :class:`ResidualCheckFailed` if the claimed
+    solution misses the PDE by more than the finite-difference gate.
     """
     if name not in _FACTORIES:
         raise UnknownCase(
@@ -264,13 +270,15 @@ def builtin_case(
         horizon = default_horizon
     elif not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
-    for arg, value in (("lam", lam), ("c", c)):
+    given = {k: v for k, v in dict(lam=lam, c=c).items() if v is not None}
+    for arg, value in given.items():
+        if arg not in inspect.signature(factory).parameters:
+            raise ValueError(f"case {name} does not read {arg}")
         if not math.isfinite(value):
             raise ValueError(f"{arg} must be finite, got {value!r}")
-    case = factory(dimension, horizon, lam, c)
+    case = factory(dimension, horizon, **given)
     worst = registration_residual(case)
     if not worst < RESIDUAL_GATE:
         raise ResidualCheckFailed(
             f"case {name}: max PDE residual {worst:.3e} >= {RESIDUAL_GATE}")
     return case
-

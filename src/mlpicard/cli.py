@@ -2,10 +2,11 @@
 schedule, battery.
 
 Benchmark cases are named builtins (``--case grad-dependent-sine``) with
-``--d``, ``--horizon``, ``--lambda`` and ``--c``; a run's arguments can be
-kept in a file, one per line, and read with ``@file``.  User-defined PDEs
-enter only through the library API.  The draw budget of the cost guard can
-be set with the MLPICARD_COST_BUDGET environment variable.
+``--d``, ``--horizon``, ``--lambda`` and ``--c``; a case refuses a value it
+does not read.  A run's arguments can be kept in a file, one per line, and
+read with ``@file``.  User-defined PDEs enter only through the library API.
+The draw budget of the cost guard can be set with the MLPICARD_COST_BUDGET
+environment variable.
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ from .bounds import (
 )
 from .core import InvalidProblem, MlpConfig, to_canonical
 from .engine import DepthCostGuard, QueryAtTerminalTime, replicate, rmse
-from .cases import (
-    BUILTIN_CASES,
-    DEFAULT_COEFF,
-    DEFAULT_LAMBDA,
-    BenchmarkCase,
-    UnknownCase,
-    builtin_case,
-)
+from .cases import BUILTIN_CASES, BenchmarkCase, UnknownCase, builtin_case
 from .harness import (
     run_convergence,
     run_test_battery,
@@ -204,6 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
                "per line.",
         fromfile_prefix_chars="@",
     )
+    parser.convert_arg_line_to_args = (  # skip an @FILE's blank lines
+        lambda line: [line] if line.strip() else [])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_case(p, with_point=True):
@@ -214,11 +210,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=float, default=None,
                        help="horizon (default: the case's own)")
         p.add_argument("--lambda", dest="lam", metavar="LAMBDA", type=float,
-                       default=DEFAULT_LAMBDA, help="growth rate of the sine "
-                       f"cases' solutions (default {DEFAULT_LAMBDA})")
-        p.add_argument("--c", type=float, default=DEFAULT_COEFF,
-                       help=f"gradient coupling (default {DEFAULT_COEFF})")
-        p.add_argument("--seed", type=int, default=0)
+                       help="sine growth rate (default: the case's own)")
+        p.add_argument("--c", type=float,
+                       help="gradient coupling (default: the case's own)")
         if with_point:
             p.add_argument("--t", type=float, default=None,
                            help="query time in the case's own clock "
@@ -232,6 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--n", type=int, required=True, help="depth")
     p_solve.add_argument("--M", type=int, required=True, help="base")
     p_solve.add_argument("--reps", type=int, default=100)
+    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.set_defaults(fn=_cmd_solve)
 
     p_conv = sub.add_parser("converge", help="error table over depths")
@@ -240,6 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--m-rule", type=str, default="floor-n^0.25",
                         help="'floor-n^q' or 'fixed:M' (default floor-n^0.25)")
     p_conv.add_argument("--reps", type=int, default=100)
+    p_conv.add_argument("--seed", type=int, default=0)
     p_conv.add_argument("--out", type=str, required=True, help="CSV path")
     p_conv.add_argument("--timing", action="store_true",
                         help="record real wall_seconds (breaks byte-identical "

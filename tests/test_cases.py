@@ -13,9 +13,11 @@ import pytest
 from mlpicard import ResidualCheckFailed, builtin_case
 from mlpicard.cases import BUILTIN_CASES, RESIDUAL_GATE, registration_residual
 
-# (horizon, lam, c) of the non-default variant; linear-heat-quadratic reads
-# only the horizon.
+# (horizon, lam, c) of the non-default variant, and the parameters beside
+# the dimension and horizon that each case reads.
 VARIANT = (0.7, -0.3, 1.3)
+READS = {"linear-heat-quadratic": (), "grad-free-exponential": ("lam",),
+         "grad-dependent-sine": ("lam", "c"), "forward-heat": ("lam", "c")}
 
 
 def _digest(*arrays) -> str:
@@ -51,13 +53,16 @@ def _answer(case) -> dict:
 
 
 def _known_cases():
+    # A case gets only the variant values it reads; the keys, recorded when
+    # every case took all three, still name all three.
+    horizon, lam, c = VARIANT
     for name in BUILTIN_CASES:
+        taken = {arg: value for arg, value in (("lam", lam), ("c", c))
+                 if arg in READS[name]}
         for d in (1, 2, 5):
             yield f"{name} d={d} default", builtin_case(name, dimension=d)
-            horizon, lam, c = VARIANT
             yield (f"{name} d={d} horizon={horizon} lam={lam} c={c}",
-                   builtin_case(name, dimension=d, horizon=horizon, lam=lam,
-                                c=c))
+                   builtin_case(name, dimension=d, horizon=horizon, **taken))
 
 
 def test_builtin_case_known_answers():
@@ -87,7 +92,7 @@ def test_nan_residual_fails_the_gate(monkeypatch):
 
     _, horizon = cases._FACTORIES["grad-dependent-sine"]
     monkeypatch.setitem(cases._FACTORIES, "grad-dependent-sine",
-                        (lambda d, T, lam, c: corrupted, horizon))
+                        (lambda d, T, lam=0.25, c=0.5: corrupted, horizon))
     with pytest.raises(ResidualCheckFailed, match="residual nan"):
         builtin_case("grad-dependent-sine", dimension=2)
 
@@ -115,7 +120,7 @@ def test_bad_lam_or_c_named():
     # lam = 800 raised OverflowError from math.exp; lam = nan and c = inf
     # surfaced as a ResidualCheckFailed with residual nan.
     for name in BUILTIN_CASES:
-        for arg in ("lam", "c"):
+        for arg in READS[name]:
             for value in (math.inf, -math.inf, math.nan):
                 with pytest.raises(ValueError, match=rf"^{arg} must be "
                                                      r"finite, got "):
@@ -129,5 +134,35 @@ def test_bad_lam_or_c_named():
     # forward-heat's canonical horizon is twice its own.
     with pytest.raises(ValueError, match=r"^lam=1\.0 overflows .* T=720\.0$"):
         builtin_case("forward-heat", horizon=360.0, lam=1.0)
-    # The quadratic case has no e^(lam T) and ignores lam.
-    builtin_case("linear-heat-quadratic", lam=800)
+    # The quadratic case has no e^(lam T) and takes no lam.
+    with pytest.raises(ValueError, match=r"^case linear-heat-quadratic does "
+                                         r"not read lam$"):
+        builtin_case("linear-heat-quadratic", lam=800)
+
+
+def test_every_lam_and_c_changes_the_case_or_is_refused():
+    # A value a case accepts moves its exact solution or its nonlinearity
+    # at a fixed point (c moves only f, since its term vanishes at the
+    # solution); any other raises naming the case and the parameter.
+    t, x = 0.3, np.array([0.4, -0.7])
+    y, z = np.array([0.2]), np.array([[0.5, 0.1]])
+
+    def fields(case):
+        value, grad = case.exact(t, x)
+        f = case.problem.nonlinearity(np.array([t]), x[None, :], y, z)
+        return np.concatenate(([value], grad, f))
+
+    refused = []
+    for name in BUILTIN_CASES:
+        default = fields(builtin_case(name, dimension=2))
+        for arg in ("lam", "c"):
+            try:
+                case = builtin_case(name, dimension=2, **{arg: 0.9})
+            except ValueError as exc:
+                assert str(exc) == f"case {name} does not read {arg}"
+                refused.append((name, arg))
+                continue
+            assert not np.array_equal(fields(case), default), (name, arg)
+    assert refused == [("linear-heat-quadratic", "lam"),
+                       ("linear-heat-quadratic", "c"),
+                       ("grad-free-exponential", "c")]

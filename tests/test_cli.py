@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mlpicard import builtin_case, run_convergence, write_csv
+from mlpicard import builtin_case, cli, run_convergence, write_csv
 from mlpicard.cli import main
 
 
@@ -88,23 +88,38 @@ def test_converge_with_case_file(tmp_path, capsys):
     # table equals the one from the same flags on the command line, and
     # the library's table of the case they name.
     case_path = tmp_path / "case.args"
-    case_path.write_text("--case=grad-free-exponential\n--d=2\n"
+    case_path.write_text("--case=grad-dependent-sine\n--d=2\n"
                          "--horizon=0.5\n--lambda=0.1\n--c\n0.25\n")
     out_file, out_flags, out_lib = (tmp_path / f"{name}.csv"
                                     for name in ("file", "flags", "lib"))
     run = ["--n-max", "2", "--m-rule", "fixed:1", "--reps", "10"]
     assert main(["converge", f"@{case_path}", *run,
                  "--out", str(out_file)]) == 0
-    assert main(["converge", "--case", "grad-free-exponential", "--d", "2",
+    assert main(["converge", "--case", "grad-dependent-sine", "--d", "2",
                  "--horizon", "0.5", "--lambda", "0.1", "--c", "0.25", *run,
                  "--out", str(out_flags)]) == 0
     stdout = capsys.readouterr().out
     assert f"wrote 2 rows to {out_file}" in stdout
-    case = builtin_case("grad-free-exponential", 2, 0.5, 0.1, 0.25)
+    case = builtin_case("grad-dependent-sine", 2, 0.5, 0.1, 0.25)
     write_csv(run_convergence(case, [(1, 1), (2, 1)], replications=10,
                               x=np.zeros(2)), str(out_lib))
     assert out_file.read_bytes() == out_flags.read_bytes()
     assert out_file.read_bytes() == out_lib.read_bytes()
+
+
+def test_blank_lines_of_an_args_file_are_skipped(tmp_path):
+    # argparse's default reads a blank line as one empty argument, which
+    # fails with "unrecognized arguments: ".
+    lines = ["--case=forward-heat", "--d=2", "--horizon", "0.4"]
+    plain, blank = tmp_path / "plain.args", tmp_path / "blank.args"
+    plain.write_text("\n".join(lines) + "\n")
+    blank.write_text("\n" + "\n\n".join(lines[:2]) + "\n  \n\t\n"
+                     + "\n".join(lines[2:]) + "\n\n \n")
+    parser = cli._build_parser()
+    run = ["--n", "1", "--M", "1"]
+    parsed = parser.parse_args(["solve", f"@{blank}", *run])
+    assert parsed == parser.parse_args(["solve", f"@{plain}", *run])
+    assert (parsed.case, parsed.d, parsed.horizon) == ("forward-heat", 2, 0.4)
 
 
 def test_a_file_named_like_a_case_does_not_shadow_it(tmp_path, monkeypatch,
@@ -164,6 +179,34 @@ def test_bad_case_flag_reports_error(capsys, flag, message):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("case, flag, arg", [
+    ("linear-heat-quadratic", "--lambda=2", "lam"),
+    ("linear-heat-quadratic", "--c=3", "c"),
+    ("grad-free-exponential", "--c=3", "c"),
+])
+def test_flag_the_case_does_not_read_reports_error(tmp_path, capsys, case,
+                                                   flag, arg):
+    # The case's table does not depend on the flag, so a run that sets it
+    # would be mislabelled.
+    out = tmp_path / "x.csv"
+    rc = main(["converge", "--case", case, flag, "--n-max", "1",
+               "--reps", "3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: case {case} does not read {arg}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_schedule_takes_no_seed(capsys):
+    # schedule draws nothing, so a seed would only mislabel the run.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["schedule", "--case", "grad-free-exponential", "--eps", "25",
+              "--seed", "5"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value, kind", [

@@ -62,7 +62,7 @@ def test_builtin_case_raises_on_failed_residual(monkeypatch):
     import mlpicard.cases as cases
 
     factory, horizon = cases._FACTORIES["linear-heat-quadratic"]
-    good = factory(1, 1.0, 0.0, 0.0)
+    good = factory(1, 1.0)
 
     def broken(t, x, _exact=good.exact):
         value, grad = _exact(t, x)
@@ -70,7 +70,7 @@ def test_builtin_case_raises_on_failed_residual(monkeypatch):
 
     monkeypatch.setitem(
         cases._FACTORIES, "linear-heat-quadratic",
-        (lambda d, T, lam, c: dataclasses.replace(good, exact=broken),
+        (lambda d, T: dataclasses.replace(good, exact=broken),
          horizon))
     with pytest.raises(ResidualCheckFailed):
         builtin_case("linear-heat-quadratic", dimension=1)

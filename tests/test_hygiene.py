@@ -1,13 +1,15 @@
 """Source hygiene: no module imports a name it never uses, no private
 helper or method of the package is left without a caller outside the
 tests, no public function keeps a defaulted parameter that only the tests
-set, and the public surface is the one the README documents.
+set, no function leaves a parameter unread, no subcommand leaves a flag
+unread, and the public surface is the one the README documents.
 
 No linter is configured for the project, so this scans the package and the
 test modules with the standard library's ``ast``.  ``from __future__``
 imports and names re-exported through ``__all__`` are exempt.
 """
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -220,6 +222,120 @@ def test_no_parameter_only_tests_set():
     # The console script calls main() bare, to parse sys.argv; argv is
     # for callers that parse a list of their own.
     assert [name for name in unpassed if name != "cli.main(argv=)"] == []
+
+
+def unused_parameters(package: dict[str, str]) -> list[str]:
+    """Parameters of the module-level functions and methods of ``package``
+    (module name -> source) that their body never reads, nested functions
+    included.  Nested functions are not scanned themselves, since
+    ``PdeProblem`` fixes the signatures of the g, f and exact callbacks, and
+    neither are the CLI's ``_cmd_*`` handlers, whose call ``args.fn(args)``
+    fixes theirs."""
+    unused = []
+    for module, source in package.items():
+        for top in ast.parse(source).body:
+            owner, functions = ((f"{top.name}.", top.body)
+                                if isinstance(top, ast.ClassDef)
+                                else ("", [top]))
+            for node in functions:
+                if (not isinstance(node, ast.FunctionDef)
+                        or node.name.startswith("_cmd_")):
+                    continue
+                args = node.args
+                params = [arg.arg for arg in (
+                    *args.posonlyargs, *args.args, args.vararg,
+                    *args.kwonlyargs, args.kwarg) if arg is not None]
+                read = {ref.id for ref in ast.walk(node)
+                        if isinstance(ref, ast.Name)
+                        and isinstance(ref.ctx, ast.Load)}
+                unused.extend(f"{module}.{owner}{node.name}({param})"
+                              for param in params if param not in read)
+    return unused
+
+
+def test_unused_parameter_scanner_flags_only_unread_parameters():
+    source = ("def scale(x, by, *rest, **opts):\n"
+              "    by = 2\n    return x * len(opts)\n"
+              "def outer(n, m):\n"
+              "    def inner(t, y):\n        return n * y\n"
+              "    return inner\n"
+              "def _cmd_run(args):\n    return 0\n"
+              "class Box:\n"
+              "    def put(self, item):\n        return self\n")
+    # Assigning by is not reading it; inner's unread t is a fixed callback
+    # signature; outer's n is read inside inner.
+    assert unused_parameters({"a": source}) == [
+        "a.scale(by)", "a.scale(rest)", "a.outer(m)", "a.Box.put(item)"]
+
+
+def test_every_parameter_is_read():
+    package = ROOT / "src" / "mlpicard"
+    assert unused_parameters(
+        {path.stem: path.read_text() for path in package.glob("*.py")}) == []
+
+
+def unread_flags(parser: argparse.ArgumentParser, source: str) -> list[str]:
+    """``subcommand --flag`` for each flag of a subcommand of ``parser``
+    whose handler, the subcommand's ``fn`` default and a function of
+    ``source``, never reads it as ``args.<dest>``: not in its own body and
+    not in a function of ``source`` that it hands ``args`` to."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def reads(name: str, position: int) -> set[str]:
+        node = functions[name]
+        param = node.args.args[position].arg
+        read = set()
+        for ref in ast.walk(node):
+            if (isinstance(ref, ast.Attribute)
+                    and isinstance(ref.value, ast.Name)
+                    and ref.value.id == param):
+                read.add(ref.attr)
+            elif (isinstance(ref, ast.Call) and isinstance(ref.func, ast.Name)
+                  and ref.func.id in functions and ref.func.id != name):
+                read.update(*(reads(ref.func.id, i)
+                              for i, arg in enumerate(ref.args)
+                              if isinstance(arg, ast.Name)
+                              and arg.id == param))
+        return read
+
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    unread = []
+    for command, sub in commands.items():
+        read = reads(sub.get_default("fn").__name__, 0)
+        unread.extend(f"{command} {action.option_strings[0]}"
+                      for action in sub._actions
+                      if action.option_strings and action.dest != "help"
+                      and action.dest not in read)
+    return unread
+
+
+def test_unread_flag_scanner_flags_only_unread_flags():
+    source = ("import argparse\n"
+              "def _load(args):\n    return args.name\n"
+              "def _cmd_run(args):\n    return _load(args) + args.size\n"
+              "def _cmd_idle(args):\n    return 0\n"
+              "def build():\n"
+              "    p = argparse.ArgumentParser()\n"
+              "    sub = p.add_subparsers()\n"
+              "    run = sub.add_parser('run')\n"
+              "    for flag in ('--name', '--size', '--seed'):\n"
+              "        run.add_argument(flag)\n"
+              "    run.set_defaults(fn=_cmd_run)\n"
+              "    idle = sub.add_parser('idle')\n"
+              "    idle.add_argument('--seed')\n"
+              "    idle.set_defaults(fn=_cmd_idle)\n"
+              "    return p\n")
+    namespace = {}
+    exec(source, namespace)
+    assert unread_flags(namespace["build"](), source) == [
+        "run --seed", "idle --seed"]
+
+
+def test_every_flag_is_read_by_its_handler():
+    source = (ROOT / "src" / "mlpicard" / "cli.py").read_text()
+    assert unread_flags(cli._build_parser(), source) == []
 
 
 # The README's functions for library use, and the classes and exceptions
