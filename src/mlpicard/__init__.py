@@ -17,6 +17,7 @@ from .bounds import (
     NoFeasibleDepth,
     Overflow,
     RegularityData,
+    audit_lipschitz,
     cost_bound_closed,
     cost_rv,
     error_bound,
@@ -30,7 +31,6 @@ from .core import (
     PdeProblem,
     TimeMap,
     Violation,
-    audit_lipschitz,
     to_canonical,
 )
 from .engine import (

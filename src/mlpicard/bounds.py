@@ -3,7 +3,9 @@
 Everything here is deterministic arithmetic: regularity bounds for the exact
 solution derived from the problem's Lipschitz data, the L2 error bound for
 the depth-n estimator, the exact recursion counting scalar draws, its closed
-geometric bound, and a schedule solver inverting the error bound.
+geometric bound, and a schedule solver inverting the error bound.  The
+Lipschitz data live in :class:`RegularityData` alone; :func:`audit_lipschitz`
+spot-checks them against a problem's callbacks.
 
 Exponent convention: this module uses the *density* exponent
 alpha in (0, 1), i.e. time fractions with density (1-alpha) b^(-alpha)
@@ -18,10 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from .core import PdeProblem, to_canonical
 from .integrals import HypothesisViolated
 
 __all__ = [
     "RegularityData",
+    "audit_lipschitz",
     "ErrorBoundInput",
     "Overflow",
     "AdmissibilityViolated",
@@ -56,13 +60,12 @@ class NoFeasibleDepth(RuntimeError):
 
 @dataclass(frozen=True)
 class RegularityData:
-    """Lipschitz constants and moment norms feeding the bounds.
+    """Lipschitz constants and moment norms feeding the bounds, all of the
+    problem's canonical form.
 
     ``l0``: Lipschitz constant of f in the value argument y.
     ``l``: d-vector of Lipschitz constants of f in the gradient argument z.
-    ``frak_l``: d-vector of Lipschitz constants of f in x.  When only the
-    combined space constant of the problem is known, passing K here is the
-    conservative default.
+    ``frak_l``: d-vector of Lipschitz constants of f in x.
     ``k``: d-vector of Lipschitz constants of g in x.
     ``g_moment``: sup over s in [0, T] of || g(xi + sqrt(s) Z) ||_{L^q}.
     ``f0_moment``: sup over times of || f(t, xi + sqrt(s) Z, 0, 0) ||_{L^q}.
@@ -89,6 +92,42 @@ class RegularityData:
             raise ValueError(f"moment order q must exceed 2, got {self.q}")
         if not (len(self.l) == len(self.frak_l) == len(self.k)):
             raise ValueError("l, frak_l, k must share the dimension d")
+
+
+def audit_lipschitz(problem: PdeProblem, reg: RegularityData) -> list[str]:
+    """Sampled check of ``reg``'s Lipschitz constants against the callbacks
+    of ``problem`` in canonical form (see :func:`~mlpicard.core.to_canonical`).
+
+    Draws 256 argument pairs from a fixed seed, each coordinate in [-2, 2]
+    (times in [0, horizon]), and checks f and g separately, up to a slack
+    of 1e-9: |f(t,x,y,z) - f(t,xx,yy,zz)| against l0 |y - yy| +
+    sum_i l_i |z_i - zz_i| + sum_i frak_l_i |x_i - xx_i|, and
+    |g(x) - g(xx)| against sum_i k_i |x_i - xx_i|.  Returns up to five
+    breaches per callback, each naming it; an empty list does not certify
+    the constants.  Raises ``ValueError`` when ``reg``'s vectors are not
+    ``problem.dimension`` long.
+    """
+    problem, _ = to_canonical(problem)
+    d = problem.dimension
+    if len(reg.l) != d:
+        raise ValueError(f"reg holds {len(reg.l)} constants per vector, "
+                         f"but the problem has dimension {d}")
+    rng = np.random.default_rng(0)
+    t = rng.uniform(0.0, problem.horizon, size=256)
+    x1, x2 = rng.uniform(-2.0, 2.0, size=(2, 256, d))
+    u1, u2 = rng.uniform(-2.0, 2.0, size=(2, 256, d + 1))
+    f, g = problem.nonlinearity, problem.terminal_data
+    x_gap = np.abs(x1 - x2)
+    checks = (
+        ("f", f(t, x1, u1[:, 0], u1[:, 1:]) - f(t, x2, u2[:, 0], u2[:, 1:]),
+         np.abs(u1 - u2) @ np.array((reg.l0, *reg.l))
+         + x_gap @ np.array(reg.frak_l)),
+        ("g", g(x1) - g(x2), x_gap @ np.array(reg.k)),
+    )
+    return [f"{name}, pair {i}: |{name} gap|={abs(gap[i]):.6g} exceeds "
+            f"allowance {allowed[i]:.6g}"
+            for name, gap, allowed in checks
+            for i in np.nonzero(np.abs(gap) > allowed + 1e-9)[0][:5]]
 
 
 def gradient_bound(reg: RegularityData, horizon: float, t: float) -> np.ndarray:
@@ -230,6 +269,12 @@ def error_bound(inp: ErrorBoundInput) -> float:
         return math.inf
 
 
+def _check_cost_args(d: int, n: int, base: int) -> None:
+    for name, value, least in (("d", d, 1), ("n", n, 0), ("M", base, 1)):
+        if value < least:
+            raise ValueError(f"need {name} >= {least}, got {value}")
+
+
 def cost_rv(d: int, n: int, base: int) -> int:
     """Exact number of scalar draws consumed by one depth-n evaluation.
 
@@ -242,8 +287,7 @@ def cost_rv(d: int, n: int, base: int) -> int:
     so the table stops at the first depth past the 128-bit limit: the
     ``Overflow`` is immediate at any n.
     """
-    if d < 1 or base < 1 or n < 0:
-        raise ValueError("need d >= 1, M >= 1, n >= 0")
+    _check_cost_args(d, n, base)
     table = [0]  # table[l] = RV(d, l, M)
     for m in range(1, n + 1):
         total = d * base**m
@@ -261,8 +305,7 @@ def cost_rv(d: int, n: int, base: int) -> int:
 
 def cost_bound_closed(d: int, n: int, base: int) -> int:
     """Closed geometric cost bound d (5M)^n; dominates cost_rv."""
-    if d < 1 or base < 1 or n < 0:
-        raise ValueError("need d >= 1, M >= 1, n >= 0")
+    _check_cost_args(d, n, base)
     value = d * (5 * base) ** n
     if value > _COST_LIMIT:
         raise Overflow(f"cost bound {value} exceeds 128-bit accounting")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -25,8 +26,8 @@ from .bounds import (
     cost_rv,
     schedule as solve_schedule,
 )
-from .core import InvalidProblem, MlpConfig, to_canonical
-from .engine import DepthCostGuard, QueryAtTerminalTime, replicate, rmse
+from .core import MlpConfig, to_canonical
+from .engine import DepthCostGuard, replicate, rmse
 from .cases import BUILTIN_CASES, BenchmarkCase, UnknownCase, builtin_case
 from .harness import (
     run_convergence,
@@ -36,6 +37,12 @@ from .harness import (
 )
 
 __all__ = ["main"]
+
+# The flag that sets each library parameter a ValueError may name.
+_FLAGS = {"dimension": "--d", "d": "--d", "horizon": "--horizon",
+          "lam": "--lambda", "c": "--c", "t": "--t", "depth": "--n",
+          "n": "--n", "base": "--M", "M": "--M", "replications": "--reps",
+          "root_seed": "--seed", "seed": "--seed"}
 
 
 def _case(args: argparse.Namespace) -> BenchmarkCase:
@@ -274,8 +281,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidProblem, UnknownCase, QueryAtTerminalTime,
-            DepthCostGuard, Overflow, ValueError) as exc:
+    except ValueError as exc:
+        # Lead with the flags that set the parameters the message names.
+        flags = ", ".join(dict.fromkeys(
+            _FLAGS[word] for word in re.findall(r"\w+", str(exc))
+            if word in _FLAGS))
+        print(f"error: {flags}{': ' if flags else ''}{exc}", file=sys.stderr)
+        return 1
+    except (UnknownCase, DepthCostGuard, Overflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

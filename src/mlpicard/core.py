@@ -48,7 +48,6 @@ __all__ = [
     "validate_problem",
     "TimeMap",
     "to_canonical",
-    "audit_lipschitz",
 ]
 
 ThetaPath = tuple[int, ...]
@@ -87,11 +86,6 @@ class PdeProblem:
         ``engine.FANOUT_MIN_DRAWS`` draws, g and f may be called at the
         same time from several threads, on disjoint rows: pure array
         functions are safe, callbacks that change shared state are not.
-    lipschitz_solution:
-        (d+1)-vector of Lipschitz constants of f in (y, z_1, ..., z_d).
-    lipschitz_space:
-        d-vector of Lipschitz constants in x (covering both g and f's
-        x-dependence, coordinatewise).
     convention:
         Which form the fields above are written in.
     """
@@ -100,8 +94,6 @@ class PdeProblem:
     horizon: float
     terminal_data: Callable[[np.ndarray], np.ndarray]
     nonlinearity: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    lipschitz_solution: tuple[float, ...]
-    lipschitz_space: tuple[float, ...]
     convention: Convention = Convention.BACKWARD_HALF_LAPLACIAN
 
 
@@ -167,21 +159,6 @@ def validate_problem(problem: PdeProblem, config: MlpConfig) -> None:
     elif not math.isfinite(problem.horizon):
         out.append(Violation("horizon", "NonfiniteHorizon",
                              f"horizon must be finite, got {problem.horizon}"))
-    if problem.dimension >= 1:
-        if len(problem.lipschitz_solution) != problem.dimension + 1:
-            out.append(Violation(
-                "lipschitz_solution", "BadLength",
-                f"expected d+1 = {problem.dimension + 1} constants, "
-                f"got {len(problem.lipschitz_solution)}"))
-        if len(problem.lipschitz_space) != problem.dimension:
-            out.append(Violation(
-                "lipschitz_space", "BadLength",
-                f"expected d = {problem.dimension} constants, "
-                f"got {len(problem.lipschitz_space)}"))
-    for name in ("lipschitz_solution", "lipschitz_space"):
-        if any(c < 0 for c in getattr(problem, name)):
-            out.append(Violation(name, "NegativeLipschitz",
-                                 "Lipschitz constants must be nonnegative"))
     if not is_int64(config.depth):
         out.append(Violation("depth", "NonIntegerDepth",
                              f"depth must be an int64 integer, "
@@ -238,9 +215,7 @@ def to_canonical(problem: PdeProblem) -> tuple[PdeProblem, TimeMap]:
     with u(s, x) = w(T - s/2, x), the forward equation
     dw/dt = Lap w + f(t, x, w, grad w) turns into
     du/ds + (1/2) Lap u + f(T - s/2, x, u, grad u)/2 = 0 with u(2T, .) = g,
-    so the nonlinearity is halved and evaluated at the mapped time.  The
-    solution-Lipschitz constants halve along with f; the space constants
-    are kept (g is unchanged and f's x-constants only shrink).
+    so the nonlinearity is halved and evaluated at the mapped time.
     """
     if problem.convention is Convention.BACKWARD_HALF_LAPLACIAN:
         return problem, _IDENTITY
@@ -254,50 +229,6 @@ def to_canonical(problem: PdeProblem) -> tuple[PdeProblem, TimeMap]:
         problem,
         horizon=2.0 * horizon,
         nonlinearity=canonical_f,
-        lipschitz_solution=tuple(c / 2.0 for c in problem.lipschitz_solution),
         convention=Convention.BACKWARD_HALF_LAPLACIAN,
     )
     return canonical, TimeMap(slope=-2.0, offset=2.0 * horizon)
-
-
-def audit_lipschitz(problem: PdeProblem) -> list[str]:
-    """Sampled check of the declared Lipschitz constants.
-
-    Draws 256 random argument pairs, each coordinate in [-2, 2]
-    (times in [0, horizon]), from a fixed seed and checks
-
-        max(|f(t,x,y,z) - f(t,xx,yy,zz)|, |g(x) - g(xx)|)
-            <= sum_i L_i |(y,z)_i - (yy,zz)_i| + sum_i K_i |x_i - xx_i|
-
-    up to a slack of 1e-9, for the declared constants L
-    (``lipschitz_solution``) and K (``lipschitz_space``).  Returns
-    human-readable descriptions of observed breaches (empty when none
-    found).  A sampled audit can only ever find counterexamples, not
-    certify the constants.
-    """
-    radius = 2.0
-    n_pairs = 256
-    rng = np.random.default_rng(0)
-    d = problem.dimension
-    L = np.asarray(problem.lipschitz_solution, dtype=float)
-    K = np.asarray(problem.lipschitz_space, dtype=float)
-    breaches: list[str] = []
-    t = rng.uniform(0.0, problem.horizon, size=n_pairs)
-    x1 = rng.uniform(-radius, radius, size=(n_pairs, d))
-    x2 = rng.uniform(-radius, radius, size=(n_pairs, d))
-    u1 = rng.uniform(-radius, radius, size=(n_pairs, d + 1))
-    u2 = rng.uniform(-radius, radius, size=(n_pairs, d + 1))
-    f = problem.nonlinearity
-    g = problem.terminal_data
-    f_gap = np.abs(
-        f(t, x1, u1[:, 0], u1[:, 1:]) - f(t, x2, u2[:, 0], u2[:, 1:])
-    )
-    g_gap = np.abs(g(x1) - g(x2))
-    allowed = np.abs(u1 - u2) @ L + np.abs(x1 - x2) @ K
-    bad = np.maximum(f_gap, g_gap) > allowed + 1e-9
-    for idx in np.nonzero(bad)[0][:5]:
-        breaches.append(
-            f"pair {idx}: |f gap|={f_gap[idx]:.6g}, |g gap|={g_gap[idx]:.6g} "
-            f"exceed allowance {allowed[idx]:.6g}"
-        )
-    return breaches

@@ -3,6 +3,7 @@ the registration residual gate."""
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -28,7 +29,7 @@ def _digest(*arrays) -> str:
 
 
 def _answer(case) -> dict:
-    """Norms, Lipschitz data and digests of g, f and exact on a fixed grid."""
+    """Norms and digests of g, f and exact on a fixed grid."""
     prob = case.problem
     d = prob.dimension
     rng = np.random.default_rng(31)
@@ -42,8 +43,6 @@ def _answer(case) -> dict:
         "horizon": prob.horizon,
         "norm_overrides": dataclasses.asdict(case.norm_overrides),
         "u_moment_override": case.u_moment_override,
-        "lipschitz_solution": prob.lipschitz_solution,
-        "lipschitz_space": prob.lipschitz_space,
         "g": _digest(prob.terminal_data(x)),
         "f": _digest(prob.nonlinearity(t, x, y, z)),
         "exact": _digest(*exact),
@@ -166,3 +165,40 @@ def test_every_lam_and_c_changes_the_case_or_is_refused():
     assert refused == [("linear-heat-quadratic", "lam"),
                        ("linear-heat-quadratic", "c"),
                        ("grad-free-exponential", "c")]
+
+
+def test_large_lam_and_long_horizon_cases_build():
+    # Second-order differences, whose truncation error grows like
+    # lam^3 e^(lam T), refused both correct cases: residuals 1.2e-5 and
+    # 2.7e-6 against the 1e-6 gate.
+    assert builtin_case("grad-dependent-sine", lam=5).name == \
+        "grad-dependent-sine"
+    assert builtin_case("forward-heat", 1, horizon=16).problem.horizon == 16
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("grad-dependent-sine", {"lam": 0.25}),
+    ("grad-dependent-sine", {"lam": 5}),
+    ("forward-heat", {"horizon": 16}),
+])
+def test_wrong_gradient_still_fails_the_gate(monkeypatch, name, kwargs):
+    # The sharper differences still see a gradient whose first coordinate
+    # has the wrong sign.
+    import mlpicard.cases as cases
+
+    factory, horizon = cases._FACTORIES[name]
+
+    def flipped(*args, **kw):
+        case = factory(*args, **kw)
+
+        def exact(t, x, _exact=case.exact):
+            value, grad = _exact(t, x)
+            return value, grad * np.r_[-1.0, np.ones(len(grad) - 1)]
+
+        return dataclasses.replace(case, exact=exact)
+
+    flipped.__signature__ = inspect.signature(factory)
+    monkeypatch.setitem(cases._FACTORIES, name, (flipped, horizon))
+    with pytest.raises(ResidualCheckFailed, match=rf"^case {name}: max PDE "
+                                                  r"residual "):
+        builtin_case(name, dimension=2, **kwargs)

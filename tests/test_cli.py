@@ -143,7 +143,7 @@ def test_solve_bad_dimension_reports_error(capsys, d):
                "--n", "1", "--M", "1"])
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err == (f"error: dimension must be an integer >= 1, "
+    assert captured.err == (f"error: --d: dimension must be an integer >= 1, "
                             f"got {d}\n")
 
 
@@ -155,19 +155,19 @@ def test_case_file_bad_horizon_reports_error(tmp_path, capsys, horizon):
                "--out", str(tmp_path / "x.csv")])
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err == (f"error: horizon must be finite and > 0, "
-                            f"got {float(horizon)!r}\n")
+    assert captured.err == (f"error: --horizon: horizon must be finite and "
+                            f"> 0, got {float(horizon)!r}\n")
     assert not (tmp_path / "x.csv").exists()
 
 
 BAD_CASE_FLAGS = [
-    ("--horizon=-1", "horizon must be finite and > 0, got -1.0"),
-    ("--horizon=inf", "horizon must be finite and > 0, got inf"),
-    ("--horizon=nan", "horizon must be finite and > 0, got nan"),
-    ("--lambda=1000",
-     "lam=1000.0 overflows e^(lam T) on the canonical horizon T=1.0"),
-    ("--lambda=nan", "lam must be finite, got nan"),
-    ("--c=inf", "c must be finite, got inf"),
+    ("--horizon=-1", "--horizon: horizon must be finite and > 0, got -1.0"),
+    ("--horizon=inf", "--horizon: horizon must be finite and > 0, got inf"),
+    ("--horizon=nan", "--horizon: horizon must be finite and > 0, got nan"),
+    ("--lambda=1000", "--lambda, --horizon: lam=1000.0 overflows e^(lam T) "
+                      "on the canonical horizon T=1.0"),
+    ("--lambda=nan", "--lambda: lam must be finite, got nan"),
+    ("--c=inf", "--c: c must be finite, got inf"),
 ]
 
 
@@ -195,9 +195,52 @@ def test_flag_the_case_does_not_read_reports_error(tmp_path, capsys, case,
                "--reps", "3", "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err == f"error: case {case} does not read {arg}\n"
+    assert captured.err == (f"error: {flag.partition('=')[0]}: case {case} "
+                            f"does not read {arg}\n")
     assert captured.out == ""
     assert not out.exists()
+
+
+LIBRARY_ERRORS = [
+    (["solve", "--case", "grad-dependent-sine", "--lambda", "nan"],
+     "--lambda", "lam must be finite, got nan"),
+    (["solve", "--case", "grad-dependent-sine", "--d", "0"],
+     "--d", "dimension must be an integer >= 1, got 0"),
+    (["solve", "--case", "grad-dependent-sine", "--reps", "0"],
+     "--reps", "replications: NonpositiveReplications: replications must "
+               "be >= 1, got 0"),
+    (["solve", "--case", "grad-dependent-sine", "--n", "-1", "--M", "0"],
+     "--n, --M", "depth: NegativeDepth: depth must be >= 0, got -1; base: "
+                 "NonpositiveBase: base must be >= 1, got 0"),
+    (["solve", "--case", "grad-dependent-sine", "--seed", str(2**63)],
+     "--seed", f"root_seed: SeedNotInt64: root seed must be an int64 "
+               f"integer, got {2**63}"),
+    (["converge", "--case", "forward-heat", "--t", "0", "--n-max", "1"],
+     "--t, --horizon", "t=1.0 >= horizon 1.0; at the horizon the field is "
+                       "(g(x), 0) exactly and needs no estimation"),
+    (["cost", "--d", "0"], "--d", "need d >= 1, got 0"),
+    (["cost", "--n", "-1"], "--n", "need n >= 0, got -1"),
+    (["cost", "--M", "0"], "--M", "need M >= 1, got 0"),
+    (["battery", "--seed", "-987654322"], "--seed",
+     "seed=-987654322 must be >= -987654321 and seed + 1234567 must be "
+     "int64"),
+]
+
+
+@pytest.mark.parametrize("argv, flags, message", LIBRARY_ERRORS,
+                         ids=[" ".join(argv) for argv, _, _ in LIBRARY_ERRORS])
+def test_library_errors_name_the_flag(tmp_path, capsys, argv, flags,
+                                      message):
+    # The library names its own parameter (lam, dimension, replications);
+    # the command line says which flag set it.  The flags of a row come
+    # after the defaults, so they override them.
+    defaults = {"solve": ["--n", "1", "--M", "1", "--reps", "2"],
+                "converge": ["--out", str(tmp_path / "x.csv")],
+                "cost": ["--d", "1", "--n", "1", "--M", "1"], "battery": []}
+    rc = main(argv[:1] + defaults[argv[0]] + argv[1:])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {flags}: {message}\n"
 
 
 def test_schedule_takes_no_seed(capsys):

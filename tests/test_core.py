@@ -1,6 +1,9 @@
 """Problem/config validation, convention adapter, and Lipschitz audit."""
 
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +13,14 @@ from mlpicard import (
     InvalidProblem,
     MlpConfig,
     PdeProblem,
+    RegularityData,
     TimeMap,
     audit_lipschitz,
+    builtin_case,
     evaluate,
     to_canonical,
 )
+from mlpicard.cases import BUILTIN_CASES
 from mlpicard.core import validate_problem
 
 
@@ -24,11 +30,17 @@ def make_problem(**overrides):
         horizon=1.0,
         terminal_data=lambda x: np.sin(x).sum(axis=1),
         nonlinearity=lambda t, x, y, z: 0.5 * y,
-        lipschitz_solution=(0.5, 0.0),
-        lipschitz_space=(1.0,),
     )
     kwargs.update(overrides)
     return PdeProblem(**kwargs)
+
+
+def make_reg(**overrides):
+    """Honest constants of make_problem() in dimension 1."""
+    kwargs = dict(l0=0.5, l=(0.0,), frak_l=(0.0,), k=(1.0,), g_moment=1.0,
+                  f0_moment=0.0, q=4.0)
+    kwargs.update(overrides)
+    return RegularityData(**kwargs)
 
 
 def make_config(**overrides):
@@ -50,8 +62,7 @@ def test_valid_pair_has_no_violations():
 
 
 def test_zero_dimension_flagged():
-    bad = make_problem(dimension=0, lipschitz_solution=(0.5,),
-                       lipschitz_space=())
+    bad = make_problem(dimension=0)
     assert "ZeroDimension" in codes(bad, make_config())
 
 
@@ -70,18 +81,6 @@ def test_exponent_boundaries_flagged():
             make_problem(), make_config(time_cdf_exponent=e))
     assert "ExponentOutOfRange" not in codes(
         make_problem(), make_config(time_cdf_exponent=0.99))
-
-
-def test_lipschitz_length_mismatches_flagged():
-    bad = make_problem(lipschitz_solution=(0.5,))
-    assert "BadLength" in codes(bad, make_config())
-    bad = make_problem(lipschitz_space=(1.0, 2.0))
-    assert "BadLength" in codes(bad, make_config())
-
-
-def test_negative_lipschitz_flagged():
-    bad = make_problem(lipschitz_solution=(-0.1, 0.0))
-    assert "NegativeLipschitz" in codes(bad, make_config())
 
 
 def test_config_violations_flagged():
@@ -148,8 +147,6 @@ def test_forward_problem_maps_to_doubled_horizon():
         horizon=1.0,
         terminal_data=lambda x: np.sin(x).mean(axis=1),
         nonlinearity=lambda t, x, y, z: y + z.sum(axis=1),
-        lipschitz_solution=(1.0, 1.0, 1.0),
-        lipschitz_space=(1.0, 1.0),
         convention=Convention.FORWARD_FULL_LAPLACIAN,
     )
     assert fwd.convention is Convention.FORWARD_FULL_LAPLACIAN
@@ -161,9 +158,6 @@ def test_forward_problem_maps_to_doubled_horizon():
     assert tmap(1.0) == 0.0
     assert tmap(0.0) == 2.0
     assert tmap(0.25) == 1.5
-    # Constants in (y, z) are halved along with f; space constants kept.
-    assert canonical.lipschitz_solution == (0.5, 0.5, 0.5)
-    assert canonical.lipschitz_space == (1.0, 1.0)
     # g passes through unchanged.
     x = np.array([[0.3, -1.2]])
     assert np.array_equal(canonical.terminal_data(x), fwd.terminal_data(x))
@@ -175,8 +169,7 @@ def test_canonical_nonlinearity_is_halved_and_time_mapped():
 
     fwd = PdeProblem(
         dimension=1, horizon=1.0, terminal_data=lambda x: x.sum(axis=1),
-        nonlinearity=fwd_f, lipschitz_solution=(2.0, 0.0),
-        lipschitz_space=(1.0,), convention=Convention.FORWARD_FULL_LAPLACIAN)
+        nonlinearity=fwd_f, convention=Convention.FORWARD_FULL_LAPLACIAN)
     canonical, _ = to_canonical(fwd)
     s = np.array([0.5])
     x = np.array([[0.0]])
@@ -188,28 +181,73 @@ def test_canonical_nonlinearity_is_halved_and_time_mapped():
 
 
 def test_audit_accepts_honest_constants():
-    prob = make_problem()
-    assert audit_lipschitz(prob) == []
+    assert audit_lipschitz(make_problem(), make_reg()) == []
 
 
 def test_audit_flags_understated_constants():
     # f has slope 2 in y but only 0.5 is declared.
-    liar = make_problem(
-        nonlinearity=lambda t, x, y, z: 2.0 * y,
-        lipschitz_solution=(0.5, 0.0),
-        lipschitz_space=(1.0,),
-    )
-    breaches = audit_lipschitz(liar)
+    liar = make_problem(nonlinearity=lambda t, x, y, z: 2.0 * y)
+    breaches = audit_lipschitz(liar, make_reg())
     assert breaches
-    assert "exceed allowance" in breaches[0]
+    assert all(re.match(r"f, pair \d+: \|f gap\|=.* exceeds allowance ", b)
+               for b in breaches)
 
 
 def test_audit_flags_understated_space_constant():
-    liar = make_problem(
-        terminal_data=lambda x: 5.0 * x.sum(axis=1),
-        lipschitz_space=(1.0,),
-    )
-    assert audit_lipschitz(liar)
+    liar = make_problem(terminal_data=lambda x: 5.0 * x.sum(axis=1))
+    breaches = audit_lipschitz(liar, make_reg())
+    assert breaches
+    assert all(b.startswith("g, pair ") for b in breaches)
+
+
+@pytest.mark.parametrize("name", BUILTIN_CASES)
+@pytest.mark.parametrize("d", [1, 3, 10])
+def test_audit_accepts_every_builtin_case(name, d):
+    case = builtin_case(name, dimension=d)
+    canonical = to_canonical(case.problem)[0]
+    assert audit_lipschitz(canonical, case.norm_overrides) == []
+    # A forward problem is audited in canonical form either way.
+    assert audit_lipschitz(case.problem, case.norm_overrides) == []
+
+
+@pytest.mark.parametrize("field, callback", [
+    ("l0", "f"), ("l", "f"), ("frak_l", "f"), ("k", "g")])
+def test_audit_names_the_callback_of_an_understated_constant(field, callback):
+    # grad-dependent-sine reads y, z and x in f, and x in g, so each of its
+    # constants, understated tenfold, is breached by its own callback.
+    case = builtin_case("grad-dependent-sine", dimension=3)
+    reg = case.norm_overrides
+    value = getattr(reg, field)
+    low = (value / 10 if field == "l0"
+           else tuple(v / 10 for v in value))
+    breaches = audit_lipschitz(case.problem,
+                               dataclasses.replace(reg, **{field: low}))
+    assert breaches
+    assert {b.split(",")[0] for b in breaches} == {callback}
+
+
+def test_audit_refuses_constants_of_another_dimension():
+    reg = make_reg(l=(0.0, 0.0), frak_l=(0.0, 0.0), k=(1.0, 1.0))
+    with pytest.raises(ValueError, match=r"^reg holds 2 constants per "
+                                         r"vector, but the problem has "
+                                         r"dimension 1$"):
+        audit_lipschitz(make_problem(), reg)
+
+
+def test_readme_quickstart_constants_pass_the_audit():
+    # The README's quickstart problem and its one RegularityData: g =
+    # sin(sum x) needs k_i = 1, and the k_i = 1/4 it once declared breaches
+    # on a quarter of the pairs.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    namespace = {}
+    for block in re.findall(r"^```python\n(.*?)^```", readme,
+                            flags=re.M | re.S):
+        exec(block, namespace)
+    problem, reg = namespace["problem"], namespace["reg"]
+    assert audit_lipschitz(problem, reg) == []
+    old = dataclasses.replace(reg, k=(0.25,) * problem.dimension)
+    breaches = audit_lipschitz(problem, old)
+    assert breaches and all(b.startswith("g, pair ") for b in breaches)
 
 
 def test_field_estimate_vector_layout():

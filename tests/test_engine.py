@@ -44,8 +44,6 @@ def linear_problem(slope=1.5, dimension=1):
         terminal_data=lambda x: x @ a,
         nonlinearity=lambda t, x, y, z: np.zeros_like(np.asarray(t,
                                                                  dtype=float)),
-        lipschitz_solution=(0.0,) * (dimension + 1),
-        lipschitz_space=tuple(a),
     )
 
 
@@ -56,8 +54,6 @@ def quadratic_problem(dimension=1):
         terminal_data=lambda x: (x**2).sum(axis=1),
         nonlinearity=lambda t, x, y, z: np.zeros_like(np.asarray(t,
                                                                  dtype=float)),
-        lipschitz_solution=(0.0,) * (dimension + 1),
-        lipschitz_space=(8.0,) * dimension,
     )
 
 
@@ -227,8 +223,6 @@ def test_constant_terminal_data_estimated_exactly():
         terminal_data=lambda x: np.full(x.shape[0], 4.25),
         nonlinearity=lambda t, x, y, z: np.zeros_like(
             np.asarray(t, dtype=float)),
-        lipschitz_solution=(0.0, 0.0),
-        lipschitz_space=(0.0,),
     )
     est = evaluate(prob, MlpConfig(depth=3, base=2), 0.0, np.array([1.0]))
     assert est.value == 4.25

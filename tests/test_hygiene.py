@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, no private
 helper or method of the package is left without a caller outside the
 tests, no public function keeps a defaulted parameter that only the tests
-set, no function leaves a parameter unread, no subcommand leaves a flag
-unread, and the public surface is the one the README documents.
+set, no function leaves a parameter unread, the solver reads every field
+of ``PdeProblem``, no subcommand leaves a flag unread, and the public
+surface is the one the README documents.
 
 No linter is configured for the project, so this scans the package and the
 test modules with the standard library's ``ast``.  ``from __future__``
@@ -272,6 +273,37 @@ def test_every_parameter_is_read():
     package = ROOT / "src" / "mlpicard"
     assert unused_parameters(
         {path.stem: path.read_text() for path in package.glob("*.py")}) == []
+
+
+def unread_fields(source: str, name: str, reader: str) -> list[str]:
+    """Fields of the class ``name`` of ``source`` that ``reader`` never
+    reads as an attribute."""
+    cls = next(node for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    read = {ref.attr for ref in ast.walk(ast.parse(reader))
+            if isinstance(ref, ast.Attribute)
+            and isinstance(ref.ctx, ast.Load)}
+    return [item.target.id for item in cls.body
+            if isinstance(item, ast.AnnAssign) and item.target.id not in read]
+
+
+def test_unread_field_scanner_flags_only_unread_fields():
+    source = ("class Problem:\n    size: int\n    rate: float\n"
+              "    tag: str = ''\n    def scaled(self):\n"
+              "        return self.tag\n")
+    # Storing p.rate is not reading it, and the class's own methods are
+    # not the reader.
+    reader = "def run(p):\n    p.rate = 2.0\n    return p.size\n"
+    assert unread_fields(source, "Problem", reader) == ["rate", "tag"]
+
+
+def test_solver_reads_every_problem_field():
+    # Data the solver never reads, such as constants only an error
+    # analysis needs, belongs beside the bounds (RegularityData), not on
+    # the problem every estimate takes.
+    package = ROOT / "src" / "mlpicard"
+    assert unread_fields((package / "core.py").read_text(), "PdeProblem",
+                         (package / "engine.py").read_text()) == []
 
 
 def unread_flags(parser: argparse.ArgumentParser, source: str) -> list[str]:

@@ -78,8 +78,6 @@ def _field_free_problem(d):
         horizon=1.0,
         terminal_data=lambda x: np.sin(x).sum(axis=1),
         nonlinearity=lambda t, x, y, z: np.cos(t) * np.cos(x).sum(axis=1),
-        lipschitz_solution=(0.0,) * (d + 1),
-        lipschitz_space=(1.0,) * d,
     )
 
 
@@ -111,8 +109,6 @@ def _autonomous_problem(d, horizon, a, b):
         horizon=horizon,
         terminal_data=lambda x: np.sin(x).sum(axis=1) / x.shape[1],
         nonlinearity=lambda t, x, y, z: a * y + b * np.tanh(z.sum(axis=1)),
-        lipschitz_solution=(abs(a),) + (abs(b),) * d,
-        lipschitz_space=(1.0,) * d,
     )
 
 
@@ -150,8 +146,6 @@ def _linear_problem(d, g):
         horizon=1.0,
         terminal_data=g,
         nonlinearity=lambda t, x, y, z: np.zeros(len(y)),
-        lipschitz_solution=(0.0,) * (d + 1),
-        lipschitz_space=(1.0,) * d,
     )
 
 
