@@ -46,7 +46,6 @@ from .engine import (
 )
 from .cases import (
     BenchmarkCase,
-    ResidualCheckFailed,
     UnknownCase,
     builtin_case,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "PdeProblem",
     "QueryAtTerminalTime",
     "RegularityData",
-    "ResidualCheckFailed",
     "RmseReport",
     "TimeMap",
     "UnknownCase",

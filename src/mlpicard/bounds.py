@@ -335,14 +335,20 @@ def schedule(
     The rule exponent must lie in the admissible range
     (max{(2 alpha - 1)/alpha, 0}, alpha) — the growth window within which
     the bound eventually decreases while the cost stays polynomial in the
-    accuracy.  Raises :class:`NoFeasibleDepth` when no n <= 50 suffices.
+    accuracy.  Raises ``ValueError`` unless ``target_eps`` > 0,
+    :class:`HypothesisViolated` unless 0 < ``alpha`` < 1,
+    :class:`AdmissibilityViolated` for a rule exponent outside its range,
+    and :class:`NoFeasibleDepth` when no n <= 50 suffices.  Each message
+    names the parameter at fault.
     """
-    if target_eps <= 0.0:
-        raise ValueError("target accuracy must be positive")
+    if not target_eps > 0.0:
+        raise ValueError(f"target_eps must be positive, got {target_eps}")
+    if not 0.0 < alpha < 1.0:
+        raise HypothesisViolated(f"alpha must lie in (0, 1), got {alpha}")
     lo, hi = _thm_rule_range(alpha)
     if not lo < m_rule_exponent < hi:
         raise AdmissibilityViolated(
-            f"M-rule exponent {m_rule_exponent} outside admissible "
+            f"m_rule_exponent {m_rule_exponent} outside admissible "
             f"({lo:.6g}, {hi:.6g}) for alpha={alpha}")
     for n in range(1, MAX_SCHEDULE_DEPTH + 1):
         base = max(1, math.floor(n**m_rule_exponent))

@@ -8,9 +8,9 @@ horizon with its nonlinearity and clock rewritten.  A factory takes only
 what its case reads: ``lam`` the sine cases, ``c`` the last two.
 
 Each case carries its exact (value, gradient) and the exact moment norms of
-its canonical form for the error bound.  :func:`builtin_case` runs a
-finite-difference PDE residual check before handing a case out, so a typo
-in either the PDE data or the claimed solution cannot slip through.
+its canonical form for the error bound.  Building a case evaluates none of
+its callbacks, so it costs O(d); the test suite checks each claimed
+solution against its PDE by finite differences.
 """
 
 from __future__ import annotations
@@ -28,21 +28,14 @@ from .core import Convention, PdeProblem, is_int64
 
 __all__ = [
     "BenchmarkCase",
-    "ResidualCheckFailed",
     "UnknownCase",
     "BUILTIN_CASES",
     "builtin_case",
-    "registration_residual",
     "default_eval_points",
 ]
 
-RESIDUAL_GATE = 1e-6
 DEFAULT_LAMBDA = 0.25
 DEFAULT_COEFF = 0.5
-
-
-class ResidualCheckFailed(ValueError):
-    """Claimed exact solution does not satisfy the case's PDE."""
 
 
 class UnknownCase(KeyError):
@@ -123,8 +116,8 @@ def _quadratic_case(d: int, T: float) -> BenchmarkCase:
 def _sine(name: str, d: int, T: float, lam: float, c: float, k: float,
           f) -> BenchmarkCase:
     """u(t, x) = e^(lam (T - t)) mean_i sin(x_i) with nonlinearity ``f``,
-    whose Lipschitz constants are lam + 1/2 in y and c in each z_i; k is
-    the regularity data's constant of g in each x_i."""
+    whose Lipschitz constants are |lam + 1/2| in y and |c| in each z_i; k
+    is the regularity data's constant of g in each x_i."""
 
     def g(x):
         # sum / d is np.mean's arithmetic, without its per-call wrapper.
@@ -138,12 +131,15 @@ def _sine(name: str, d: int, T: float, lam: float, c: float, k: float,
     if lam * T > math.log(np.finfo(float).max):
         raise ValueError(f"lam={lam!r} overflows e^(lam T) on the canonical "
                          f"horizon T={T!r}")
-    amp0 = math.exp(lam * T)
-    reg = RegularityData(l0=lam + 0.5, l=(c,) * d, frak_l=(c * amp0 / d,) * d,
-                         k=(k,) * d, g_moment=1.0, f0_moment=c * amp0, q=4.0)
+    # The amplitude's sup over [0, T]: e^(lam T) at t = 0 for lam >= 0, 1 at
+    # t = T otherwise.
+    amp = math.exp(max(lam, 0.0) * T)
+    reg = RegularityData(l0=abs(lam + 0.5), l=(abs(c),) * d,
+                         frak_l=(abs(c) * amp / d,) * d, k=(k,) * d,
+                         g_moment=1.0, f0_moment=abs(c) * amp, q=4.0)
     problem = PdeProblem(dimension=d, horizon=T, terminal_data=g,
                          nonlinearity=f)
-    return BenchmarkCase(name, problem, exact, reg, amp0)
+    return BenchmarkCase(name, problem, exact, reg, amp)
 
 
 def _exponential_case(d: int, T: float,
@@ -200,44 +196,6 @@ _FACTORIES = {
 BUILTIN_CASES = tuple(_FACTORIES)
 
 
-def registration_residual(case: BenchmarkCase) -> float:
-    """Max finite-difference PDE residual of the claimed exact solution.
-
-    Backward cases check |d_t u + (1/2) Lap u + f(t, x, u, grad u)|, forward
-    cases |d_t w - Lap w - f(t, x, w, grad w)|, on a fixed random grid of
-    25 points (t, x).  The time derivative is a fourth-order central
-    difference, step 1e-3, of the exact value; the Laplacian is the same
-    difference of the exact (analytic) gradient, so the check is sensitive
-    to errors in the gradient as well.  On a sine case the truncation
-    error grows like lam^5 e^(lam T).  A NaN residual at any point makes
-    the result NaN.
-    """
-    h = 1e-3
-    rng = np.random.default_rng(12345)
-    prob = case.problem
-    d = prob.dimension
-    T = prob.horizon
-    ts = rng.uniform(2.0 * h, T - 2.0 * h, size=25)
-    xs = rng.uniform(-2.0, 2.0, size=(25, d))
-    residuals = []
-    eye = np.eye(d)
-    forward = prob.convention is Convention.FORWARD_FULL_LAPLACIAN
-
-    def derivative(at):  # of at(s) at s = 0, error O(h^4)
-        return (8.0 * (at(h) - at(-h)) - at(2 * h) + at(-2 * h)) / (12 * h)
-
-    for t, x in zip(ts, xs):
-        value, grad = case.exact(t, x)
-        dt = derivative(lambda s: case.exact(t + s, x)[0])
-        lap = sum(derivative(lambda s: case.exact(t, x + s * eye[i])[1][i])
-                  for i in range(d))
-        fv = float(prob.nonlinearity(
-            np.array([t]), x[None, :], np.array([value]), grad[None, :])[0])
-        residuals.append(dt - lap - fv if forward else dt + 0.5 * lap + fv)
-    # Unlike the builtin max, np.max propagates a NaN.
-    return float(np.max(np.abs(residuals)))
-
-
 def builtin_case(
     name: str,
     dimension: int = 1,
@@ -245,7 +203,7 @@ def builtin_case(
     lam: float | None = None,
     c: float | None = None,
 ) -> BenchmarkCase:
-    """Construct a builtin case and run its registration residual check.
+    """Construct a builtin case; none of its callbacks is evaluated.
 
     ``horizon`` defaults to 1.0, except for the forward case where it is the
     forward horizon and defaults to 0.5 (so the canonical horizon is 1.0).
@@ -253,9 +211,8 @@ def builtin_case(
     ``ValueError`` unless ``dimension`` is an integer >= 1, ``horizon``
     finite and > 0 and ``lam`` and ``c`` finite and taken by the case's
     factory, or when a sine case's amplitude e^(lam T) overflows on its
-    canonical horizon T; :class:`UnknownCase` for a name outside
-    :data:`BUILTIN_CASES`; and :class:`ResidualCheckFailed` if the claimed
-    solution misses the PDE by more than the finite-difference gate.
+    canonical horizon T; and :class:`UnknownCase` for a name outside
+    :data:`BUILTIN_CASES`.
     """
     if name not in _FACTORIES:
         raise UnknownCase(
@@ -274,9 +231,4 @@ def builtin_case(
             raise ValueError(f"case {name} does not read {arg}")
         if not math.isfinite(value):
             raise ValueError(f"{arg} must be finite, got {value!r}")
-    case = factory(dimension, horizon, **given)
-    worst = registration_residual(case)
-    if not worst < RESIDUAL_GATE:
-        raise ResidualCheckFailed(
-            f"case {name}: max PDE residual {worst:.3e} >= {RESIDUAL_GATE}")
-    return case
+    return factory(dimension, horizon, **given)

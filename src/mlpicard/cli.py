@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from .bounds import (
-    AdmissibilityViolated,
     NoFeasibleDepth,
     Overflow,
     cost_bound_closed,
@@ -42,11 +41,39 @@ __all__ = ["main"]
 _FLAGS = {"dimension": "--d", "d": "--d", "horizon": "--horizon",
           "lam": "--lambda", "c": "--c", "t": "--t", "depth": "--n",
           "n": "--n", "base": "--M", "M": "--M", "replications": "--reps",
-          "root_seed": "--seed", "seed": "--seed"}
+          "root_seed": "--seed", "seed": "--seed", "target_eps": "--eps",
+          "p": "--p", "alpha": "--alpha", "m_rule_exponent": "--q"}
+
+
+def _flagged(exc: Exception) -> str:
+    """``exc``'s message, led by the flags of the parameters it names."""
+    flags = ", ".join(dict.fromkeys(
+        _FLAGS[word] for word in re.findall(r"\w+", str(exc))
+        if word in _FLAGS))
+    return f"{flags}{': ' if flags else ''}{exc}"
 
 
 def _case(args: argparse.Namespace) -> BenchmarkCase:
     return builtin_case(args.case, args.d, args.horizon, args.lam, args.c)
+
+
+def _query_time(case: BenchmarkCase, t: float | None) -> float:
+    """The canonical time of ``--t`` (canonical 0 when it is not given);
+    raises ``ValueError`` naming t and the case's own range of query
+    times when it maps outside [0, canonical horizon)."""
+    canonical, tmap = to_canonical(case.problem)
+    if t is None:
+        return 0.0
+    s = tmap(t)
+    if not 0.0 <= s < canonical.horizon:
+        # + 0.0 turns the forward clock's -0.0 into 0.0.
+        lo, hi = sorted(tmap.inverse(end) + 0.0
+                        for end in (0.0, canonical.horizon))
+        admissible = (f"[{lo!r}, {hi!r})" if tmap.slope > 0
+                      else f"({lo!r}, {hi!r}]")
+        raise ValueError(f"t={t!r} is outside {case.name}'s query times "
+                         f"{admissible}")
+    return s
 
 
 def _parse_point(text: str | None, dimension: int) -> np.ndarray:
@@ -101,11 +128,7 @@ def _parse_m_rule(text: str, n_max: int) -> list[tuple[int, int]]:
 def _cmd_solve(args: argparse.Namespace) -> int:
     case = _case(args)
     canonical, tmap = to_canonical(case.problem)
-    s = tmap(args.t) if args.t is not None else 0.0
-    if not 0.0 <= s < canonical.horizon:
-        raise SystemExit(
-            f"error: query time maps to canonical {s}, outside "
-            f"[0, {canonical.horizon})")
+    s = _query_time(case, args.t)
     x = _parse_point(args.x, canonical.dimension)
     config = MlpConfig(depth=args.n, base=args.M, root_seed=args.seed)
     estimates = replicate(canonical, config, s, x, args.reps)
@@ -130,6 +153,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_converge(args: argparse.Namespace) -> int:
     case = _case(args)
+    _query_time(case, args.t)
     schedule = _parse_m_rule(args.m_rule, args.n_max)
     rows = run_convergence(
         case, schedule, replications=args.reps, seed=args.seed,
@@ -176,8 +200,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             p=args.p, alpha=args.alpha, m_rule_exponent=args.q,
             horizon=canonical.horizon, t=0.0,
             u_moment_override=case.u_moment_override)
-    except AdmissibilityViolated as exc:
-        raise SystemExit(f"error: {exc}")
     except NoFeasibleDepth as exc:
         print(f"infeasible: {exc}")
         return 2
@@ -282,13 +304,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except ValueError as exc:
-        # Lead with the flags that set the parameters the message names.
-        flags = ", ".join(dict.fromkeys(
-            _FLAGS[word] for word in re.findall(r"\w+", str(exc))
-            if word in _FLAGS))
-        print(f"error: {flags}{': ' if flags else ''}{exc}", file=sys.stderr)
+        print(f"error: {_flagged(exc)}", file=sys.stderr)
         return 1
-    except (UnknownCase, DepthCostGuard, Overflow) as exc:
+    except UnknownCase as exc:
+        # str() of a KeyError quotes its message.
+        print(f"error: --case: {exc.args[0]}", file=sys.stderr)
+        return 1
+    except (DepthCostGuard, Overflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

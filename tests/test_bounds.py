@@ -293,6 +293,16 @@ def test_schedule_rejects_inadmissible_rule_exponent():
                      m_rule_exponent=q, horizon=1.0)
 
 
+def test_schedule_rejects_alpha_outside_the_unit_interval():
+    # The rule-exponent window (max{(2 alpha - 1)/alpha, 0}, alpha) is only
+    # meaningful for alpha in (0, 1).
+    for alpha in (0.0, 1.0, 1.5, -0.5, math.nan):
+        with pytest.raises(HypothesisViolated, match=r"^alpha must lie in "
+                                                     r"\(0, 1\), got "):
+            schedule(1.0, 1, make_reg(), p=4.0, alpha=alpha,
+                     m_rule_exponent=0.25, horizon=1.0)
+
+
 def test_schedule_no_feasible_depth():
     # With alpha = 1/2 and q = 1/4 the base stays tiny while (2C)^n grows,
     # so an absurd tolerance is never met within the depth cap.

@@ -1,18 +1,19 @@
-"""The builtin manufactured-solution cases: pinned data, argument checks and
-the registration residual gate."""
+"""The builtin manufactured-solution cases: pinned data, argument checks,
+regularity data and the PDE residual oracle over a fixed parameter grid."""
 
 import dataclasses
 import hashlib
-import inspect
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mlpicard import ResidualCheckFailed, builtin_case
-from mlpicard.cases import BUILTIN_CASES, RESIDUAL_GATE, registration_residual
+from mlpicard import audit_lipschitz, builtin_case
+from mlpicard.cases import BUILTIN_CASES
+from residual import RESIDUAL_GATE, registration_residual
 
 # (horizon, lam, c) of the non-default variant, and the parameters beside
 # the dimension and horizon that each case reads.
@@ -75,7 +76,33 @@ def test_builtin_case_known_answers():
         assert got[key] == known[key], key
 
 
-def test_nan_residual_fails_the_gate(monkeypatch):
+def _grid():
+    """(label, case) over the parameter grid the residual oracle covers:
+    defaults, the pinned variant, horizon 2 with c = 0.05, and lam = 5,
+    each case taking only the values it reads, at d = 1, 2, 3, 5, 10; and
+    the defaults of the two gradient cases at d = 100."""
+    settings = {"defaults": {}, "variant": dict(zip(("horizon", "lam", "c"),
+                                                    VARIANT)),
+                "horizon=2 c=0.05": dict(horizon=2.0, c=0.05),
+                "lam=5": dict(lam=5.0)}
+    for name in BUILTIN_CASES:
+        for label, kwargs in settings.items():
+            taken = {arg: value for arg, value in kwargs.items()
+                     if arg == "horizon" or arg in READS[name]}
+            for d in (1, 2, 3, 5, 10):
+                yield f"{name} d={d} {label}", builtin_case(name, d, **taken)
+    for name in ("grad-dependent-sine", "forward-heat"):
+        yield f"{name} d=100 defaults", builtin_case(name, 100)
+
+
+def test_builtin_cases_have_small_pde_residuals():
+    worst = {label: registration_residual(case) for label, case in _grid()}
+    assert len(worst) == 82
+    assert {label: r for label, r in worst.items()
+            if not r < RESIDUAL_GATE} == {}
+
+
+def test_nan_residual_fails_the_gate():
     # max(x, nan) is x, so a running max would score this case's 25-point
     # grid as clean wherever only some points are NaN.
     case = builtin_case("grad-dependent-sine", dimension=2)
@@ -87,13 +114,52 @@ def test_nan_residual_fails_the_gate(monkeypatch):
     corrupted = dataclasses.replace(case, exact=nan_late)
     assert not registration_residual(corrupted) < RESIDUAL_GATE
 
+
+def _raising(*args):
+    raise AssertionError("a case's callback ran while it was built")
+
+
+def test_a_case_whose_callbacks_raise_is_handed_out(monkeypatch):
+    # builtin_case hands out what the factory builds without evaluating it.
     import mlpicard.cases as cases
 
-    _, horizon = cases._FACTORIES["grad-dependent-sine"]
+    factory, horizon = cases._FACTORIES["grad-dependent-sine"]
+
+    def broken(d, T, lam=0.25, c=0.5):
+        case = factory(d, T, lam, c)
+        problem = dataclasses.replace(case.problem, terminal_data=_raising,
+                                      nonlinearity=_raising)
+        return dataclasses.replace(case, problem=problem, exact=_raising)
+
     monkeypatch.setitem(cases._FACTORIES, "grad-dependent-sine",
-                        (lambda d, T, lam=0.25, c=0.5: corrupted, horizon))
-    with pytest.raises(ResidualCheckFailed, match="residual nan"):
-        builtin_case("grad-dependent-sine", dimension=2)
+                        (broken, horizon))
+    case = builtin_case("grad-dependent-sine", dimension=3, lam=0.5)
+    assert case.exact is _raising
+    assert case.problem.terminal_data is case.problem.nonlinearity is _raising
+
+
+@pytest.mark.parametrize("name", BUILTIN_CASES)
+def test_building_a_case_calls_none_of_its_callbacks(name):
+    # Profile the real factories at d = 1000 and record every call into
+    # one of the callbacks they define: g, f, f4 (forward-heat's f) and
+    # exact.
+    import mlpicard.cases as cases
+
+    called = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename == cases.__file__
+                and code.co_name in {"g", "f", "f4", "exact"}):
+            called.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        case = builtin_case(name, dimension=1000)
+    finally:
+        sys.setprofile(None)
+    assert case.problem.dimension == 1000
+    assert called == []
 
 
 def test_bad_dimension_or_horizon_named():
@@ -116,8 +182,8 @@ def test_numpy_integer_dimension_accepted():
 
 
 def test_bad_lam_or_c_named():
-    # lam = 800 raised OverflowError from math.exp; lam = nan and c = inf
-    # surfaced as a ResidualCheckFailed with residual nan.
+    # lam = 800 raised OverflowError from math.exp; lam = nan or c = inf
+    # would give a case whose fields are NaN.
     for name in BUILTIN_CASES:
         for arg in READS[name]:
             for value in (math.inf, -math.inf, math.nan):
@@ -171,9 +237,9 @@ def test_large_lam_and_long_horizon_cases_build():
     # Second-order differences, whose truncation error grows like
     # lam^3 e^(lam T), refused both correct cases: residuals 1.2e-5 and
     # 2.7e-6 against the 1e-6 gate.
-    assert builtin_case("grad-dependent-sine", lam=5).name == \
-        "grad-dependent-sine"
-    assert builtin_case("forward-heat", 1, horizon=16).problem.horizon == 16
+    for case in (builtin_case("grad-dependent-sine", lam=5),
+                 builtin_case("forward-heat", 1, horizon=16)):
+        assert registration_residual(case) < RESIDUAL_GATE, case.name
 
 
 @pytest.mark.parametrize("name, kwargs", [
@@ -181,24 +247,30 @@ def test_large_lam_and_long_horizon_cases_build():
     ("grad-dependent-sine", {"lam": 5}),
     ("forward-heat", {"horizon": 16}),
 ])
-def test_wrong_gradient_still_fails_the_gate(monkeypatch, name, kwargs):
+def test_wrong_gradient_still_fails_the_gate(name, kwargs):
     # The sharper differences still see a gradient whose first coordinate
     # has the wrong sign.
-    import mlpicard.cases as cases
+    case = builtin_case(name, dimension=2, **kwargs)
 
-    factory, horizon = cases._FACTORIES[name]
+    def flipped(t, x, _exact=case.exact):
+        value, grad = _exact(t, x)
+        return value, grad * np.r_[-1.0, np.ones(len(grad) - 1)]
 
-    def flipped(*args, **kw):
-        case = factory(*args, **kw)
+    corrupted = dataclasses.replace(case, exact=flipped)
+    assert not registration_residual(corrupted) < RESIDUAL_GATE
 
-        def exact(t, x, _exact=case.exact):
-            value, grad = _exact(t, x)
-            return value, grad * np.r_[-1.0, np.ones(len(grad) - 1)]
 
-        return dataclasses.replace(case, exact=exact)
-
-    flipped.__signature__ = inspect.signature(factory)
-    monkeypatch.setitem(cases._FACTORIES, name, (flipped, horizon))
-    with pytest.raises(ResidualCheckFailed, match=rf"^case {name}: max PDE "
-                                                  r"residual "):
-        builtin_case(name, dimension=2, **kwargs)
+@pytest.mark.parametrize("name", BUILTIN_CASES[1:])  # the sine cases
+def test_regularity_data_holds_for_negative_lam_and_c(name):
+    # f's constants are |lam + 1/2| and |c|, and the amplitude
+    # e^(lam (T - t)) peaks at t = T, not t = 0, when lam < 0.
+    for lam in (-1.0, -0.3, 0.25, 2.0):
+        for c in (-0.5, 1.3) if "c" in READS[name] else (None,):
+            for d in (1, 3):
+                case = builtin_case(name, d, horizon=0.7, lam=lam, c=c)
+                assert audit_lipschitz(case.problem,
+                                       case.norm_overrides) == [], \
+                    (lam, c, d)
+                canonical_horizon = 1.4 if name == "forward-heat" else 0.7
+                assert case.u_moment_override == \
+                    math.exp(max(lam, 0.0) * canonical_horizon)

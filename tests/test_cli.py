@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line front end via main(argv)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,11 @@ def test_solve_unknown_case_reports_error(capsys):
     rc = main(["solve", "--case", "nope", "--n", "1", "--M", "1"])
     captured = capsys.readouterr()
     assert rc == 1
-    assert captured.err.startswith("error:")
+    # Unquoted, though UnknownCase is a KeyError, and led by its flag.
+    assert captured.err == (
+        "error: --case: unknown case 'nope'; builtin cases: "
+        "linear-heat-quadratic, grad-free-exponential, grad-dependent-sine, "
+        "forward-heat\n")
 
 
 @pytest.mark.parametrize("bad", ["inf", "nan", "abc"])
@@ -56,12 +62,73 @@ def test_solve_bad_budget_variable_reports_error(monkeypatch, capsys, bad):
                    "number of draws\n")
 
 
-def test_solve_time_outside_interval_exits():
+def test_solve_time_outside_interval_exits(capsys):
     # Forward initial time maps onto the canonical terminal instant,
     # where the estimator is undefined.
-    with pytest.raises(SystemExit):
-        main(["solve", "--case", "forward-heat", "--t", "0.0",
-              "--n", "1", "--M", "1"])
+    rc = main(["solve", "--case", "forward-heat", "--t", "0.0",
+               "--n", "1", "--M", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: --t: t=0.0 is outside forward-heat's query times "
+        "(0.0, 0.5]\n")
+
+
+QUERY_TIME_ERRORS = [
+    ("forward-heat", "0.7", "(0.0, 0.5]"),
+    ("grad-dependent-sine", "-0.1", "[0.0, 1.0)"),
+    ("grad-dependent-sine", "1", "[0.0, 1.0)"),
+    ("linear-heat-quadratic", "nan", "[0.0, 1.0)"),
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+@pytest.mark.parametrize("case, t, admissible", QUERY_TIME_ERRORS)
+def test_query_time_outside_the_case_names_t(tmp_path, capsys, command,
+                                             case, t, admissible):
+    # One check for both commands: it names --t, the value typed and the
+    # query times of the case's own clock, never the canonical time.
+    extra = {"solve": ["--n", "1", "--M", "1"],
+             "converge": ["--n-max", "1", "--out", str(tmp_path / "x.csv")]}
+    rc = main([command, "--case", case, "--t", t] + extra[command])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (f"error: --t: t={float(t)!r} is outside {case}'s "
+                            f"query times {admissible}\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_valid_query_time_output_is_unchanged(tmp_path, capsys):
+    # A query time inside the case's range writes these bytes: the sha256
+    # of solve's stdout and of converge's CSV.
+    def digest(data):
+        return hashlib.sha256(data).hexdigest()
+
+    for argv, known in [
+        (["--case", "forward-heat", "--d", "2", "--t", "0.25", "--x", "0.3"],
+         "f736f6cac35a8278b2c162ff50c1a9b45d9a477e58f1153375bdf0474aaac4a8"),
+        (["--case", "grad-dependent-sine", "--d", "2", "--t", "0.4"],
+         "c344cbb79fdbba8a3b3b2b056046a75fe0ba1ee50103af585d97e6bd59c0b4d8"),
+    ]:
+        assert main(["solve", *argv, "--n", "2", "--M", "2",
+                     "--reps", "3"]) == 0
+        assert digest(capsys.readouterr().out.encode()) == known
+    out = tmp_path / "fwd.csv"
+    assert main(["converge", "--case", "forward-heat", "--d", "2", "--t",
+                 "0.25", "--n-max", "2", "--m-rule", "fixed:2", "--reps", "3",
+                 "--out", str(out)]) == 0
+    assert digest(out.read_bytes()) == (
+        "57645933f44f8130581cacfa060b7ef2d3076d104ddc9b812d4d93515364107c")
+
+
+def test_exact_case_past_the_residual_oracle_runs(tmp_path, capsys):
+    # lam = 6 puts the oracle's truncation error past its gate on this
+    # exact case; building it checks nothing of the kind.
+    rc = main(["converge", "--case", "forward-heat", "--lambda", "6",
+               "--n-max", "1", "--reps", "2", "--out",
+               str(tmp_path / "x.csv")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_solve_point_dimension_mismatch_exits():
@@ -216,8 +283,7 @@ LIBRARY_ERRORS = [
      "--seed", f"root_seed: SeedNotInt64: root seed must be an int64 "
                f"integer, got {2**63}"),
     (["converge", "--case", "forward-heat", "--t", "0", "--n-max", "1"],
-     "--t, --horizon", "t=1.0 >= horizon 1.0; at the horizon the field is "
-                       "(g(x), 0) exactly and needs no estimation"),
+     "--t", "t=0.0 is outside forward-heat's query times (0.0, 0.5]"),
     (["cost", "--d", "0"], "--d", "need d >= 1, got 0"),
     (["cost", "--n", "-1"], "--n", "need n >= 0, got -1"),
     (["cost", "--M", "0"], "--M", "need M >= 1, got 0"),
@@ -315,10 +381,13 @@ def test_schedule_infeasible_returns_2(capsys):
     assert "infeasible:" in out
 
 
-def test_schedule_inadmissible_exponent_exits():
-    with pytest.raises(SystemExit, match="error:"):
-        main(["schedule", "--case", "linear-heat-quadratic",
-              "--eps", "0.5", "--alpha", "0.8", "--q", "0.9"])
+def test_schedule_inadmissible_exponent_exits(capsys):
+    rc = main(["schedule", "--case", "linear-heat-quadratic",
+               "--eps", "0.5", "--alpha", "0.8", "--q", "0.9"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: --q, --alpha: m_rule_exponent 0.9 outside admissible "
+        "(0.75, 0.8) for alpha=0.8\n")
 
 
 def test_schedule_norm_order_below_p_reports_error(capsys):
@@ -328,8 +397,28 @@ def test_schedule_norm_order_below_p_reports_error(capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert captured.err == ("error: norms of order q=4.0 are too low for "
-                            "p=3.0: need q >= 2p/(p-2) = 6\n")
+    assert captured.err == ("error: --p: norms of order q=4.0 are too low "
+                            "for p=3.0: need q >= 2p/(p-2) = 6\n")
+
+
+SCHEDULE_ERRORS = [
+    (["--eps", "-1"], "--eps: target_eps must be positive, got -1.0"),
+    (["--eps", "nan"], "--eps: target_eps must be positive, got nan"),
+    (["--p", "1"], "--p: p must be >= 2, got 1.0"),
+    (["--alpha", "1.5"], "--alpha: alpha must lie in (0, 1), got 1.5"),
+    (["--alpha", "0.7", "--q", "0.6"], "--alpha, --p: alpha must lie in "
+                                       "(0.333333, 0.666667) for p=4.0, got "
+                                       "0.7"),
+]
+
+
+@pytest.mark.parametrize("argv, message", SCHEDULE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in SCHEDULE_ERRORS])
+def test_schedule_errors_name_their_flag(capsys, argv, message):
+    rc = main(["schedule", "--case", "grad-free-exponential", "--eps", "25",
+               *argv])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_battery_fast(capsys):

@@ -10,7 +10,6 @@ import pytest
 from mlpicard import (
     EmptySample,
     FieldEstimate,
-    ResidualCheckFailed,
     UnknownCase,
     builtin_case,
     combined_error_ucl,
@@ -19,12 +18,7 @@ from mlpicard import (
     to_canonical,
     write_csv,
 )
-from mlpicard.cases import (
-    BUILTIN_CASES,
-    RESIDUAL_GATE,
-    default_eval_points,
-    registration_residual,
-)
+from mlpicard.cases import default_eval_points
 from mlpicard.harness import (
     CSV_COLUMNS,
     ConvergenceRow,
@@ -32,14 +26,7 @@ from mlpicard.harness import (
     unbiasedness_gap,
     verify_integral_identities,
 )
-
-
-def test_builtin_cases_have_small_pde_residuals():
-    for name in BUILTIN_CASES:
-        for dimension in (1, 2):
-            case = builtin_case(name, dimension=dimension)
-            worst = registration_residual(case)
-            assert worst < RESIDUAL_GATE, f"{name} d={dimension}: {worst}"
+from residual import RESIDUAL_GATE, registration_residual
 
 
 def test_unknown_case_name_rejected():
@@ -56,24 +43,6 @@ def test_residual_check_detects_wrong_solution():
 
     corrupted = dataclasses.replace(case, exact=broken)
     assert registration_residual(corrupted) > RESIDUAL_GATE
-
-
-def test_builtin_case_raises_on_failed_residual(monkeypatch):
-    import mlpicard.cases as cases
-
-    factory, horizon = cases._FACTORIES["linear-heat-quadratic"]
-    good = factory(1, 1.0)
-
-    def broken(t, x, _exact=good.exact):
-        value, grad = _exact(t, x)
-        return value + 0.1 * t, grad
-
-    monkeypatch.setitem(
-        cases._FACTORIES, "linear-heat-quadratic",
-        (lambda d, T: dataclasses.replace(good, exact=broken),
-         horizon))
-    with pytest.raises(ResidualCheckFailed):
-        builtin_case("linear-heat-quadratic", dimension=1)
 
 
 def test_default_eval_points():

@@ -383,7 +383,7 @@ PUBLIC = sorted([
     "InvalidProblem", "Violation", "InvalidConvention", "QueryAtTerminalTime",
     "DepthCostGuard", "CallbackContractError", "EmptySample", "Overflow",
     "AdmissibilityViolated", "NoFeasibleDepth", "HypothesisViolated",
-    "UnknownCase", "ResidualCheckFailed",
+    "UnknownCase",
 ])
 
 
