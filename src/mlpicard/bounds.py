@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import PdeProblem, to_canonical
+from .core import PdeProblem, is_int64, to_canonical
 from .integrals import HypothesisViolated
 
 __all__ = [
@@ -269,10 +269,21 @@ def error_bound(inp: ErrorBoundInput) -> float:
         return math.inf
 
 
-def _check_cost_args(d: int, n: int, base: int) -> None:
+def _cost_args(d: int, n: int, base: int) -> list[int]:
+    """``(d, n, M)`` as Python ints, so numpy integers count exactly;
+    ``ValueError`` naming the first argument that is not an int64 integer
+    (a ``bool`` is not) or is below its least value, 1, 0 and 1."""
+    counts = []
     for name, value, least in (("d", d, 1), ("n", n, 0), ("M", base, 1)):
+        # A plain int, which the engine passes, costs a type and range test.
+        if not (type(value) is int and -(1 << 63) <= value < (1 << 63)
+                or is_int64(value)):
+            raise ValueError(f"{name} must be an int64 integer, "
+                             f"got {value!r}")
         if value < least:
             raise ValueError(f"need {name} >= {least}, got {value}")
+        counts.append(int(value))
+    return counts
 
 
 def cost_rv(d: int, n: int, base: int) -> int:
@@ -285,9 +296,10 @@ def cost_rv(d: int, n: int, base: int) -> int:
 
     The engine's ledger is required to meet this exactly.  RV grows with n,
     so the table stops at the first depth past the 128-bit limit: the
-    ``Overflow`` is immediate at any n.
+    ``Overflow`` is immediate at any n.  Raises ``ValueError`` unless d,
+    n and M are int64 integers with d, M >= 1 and n >= 0.
     """
-    _check_cost_args(d, n, base)
+    d, n, base = _cost_args(d, n, base)
     table = [0]  # table[l] = RV(d, l, M)
     for m in range(1, n + 1):
         total = d * base**m
@@ -305,7 +317,7 @@ def cost_rv(d: int, n: int, base: int) -> int:
 
 def cost_bound_closed(d: int, n: int, base: int) -> int:
     """Closed geometric cost bound d (5M)^n; dominates cost_rv."""
-    _check_cost_args(d, n, base)
+    d, n, base = _cost_args(d, n, base)
     value = d * (5 * base) ** n
     if value > _COST_LIMIT:
         raise Overflow(f"cost bound {value} exceeds 128-bit accounting")
@@ -326,10 +338,10 @@ def schedule(
     alpha: float,
     m_rule_exponent: float,
     horizon: float,
-    t: float = 0.0,
     u_moment_override: float | None = None,
 ) -> tuple[int, int, int]:
-    """Smallest depth meeting ``target_eps``, with M = max(1, floor(n^q)).
+    """Smallest depth meeting ``target_eps`` at canonical time 0, with
+    M = max(1, floor(n^q)).
 
     Returns (N, M_N, predicted_cost) where predicted_cost = cost_rv(d, N, M_N).
     The rule exponent must lie in the admissible range
@@ -353,7 +365,7 @@ def schedule(
     for n in range(1, MAX_SCHEDULE_DEPTH + 1):
         base = max(1, math.floor(n**m_rule_exponent))
         bound = error_bound(ErrorBoundInput(
-            p=p, alpha=alpha, n=n, base=base, horizon=horizon, t=t,
+            p=p, alpha=alpha, n=n, base=base, horizon=horizon, t=0.0,
             reg=reg, u_moment_override=u_moment_override))
         if bound <= target_eps:
             return n, base, cost_rv(d, n, base)

@@ -31,7 +31,6 @@ __all__ = [
     "UnknownCase",
     "BUILTIN_CASES",
     "builtin_case",
-    "default_eval_points",
 ]
 
 DEFAULT_LAMBDA = 0.25
@@ -58,20 +57,8 @@ class BenchmarkCase:
     name: str
     problem: PdeProblem
     exact: Callable[[float, np.ndarray], tuple[float, np.ndarray]]
-    norm_overrides: RegularityData | None = None
-    u_moment_override: float | None = None
-
-
-def default_eval_points(dimension: int) -> list[np.ndarray]:
-    """The two standard query points: the origin and (1,...,1)/sqrt(d).
-
-    The second point breaks coordinate symmetry so that bugs masked by
-    even/odd cancellation at the origin still surface.
-    """
-    return [
-        np.zeros(dimension),
-        np.full(dimension, 1.0 / math.sqrt(dimension)),
-    ]
+    norm_overrides: RegularityData
+    u_moment_override: float
 
 
 def _quadratic_case(d: int, T: float) -> BenchmarkCase:

@@ -191,14 +191,12 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     case = _case(args)
-    if case.norm_overrides is None:
-        raise SystemExit(f"error: case {case.name} carries no norm data")
     canonical, _ = to_canonical(case.problem)
     try:
         n, base, cost = solve_schedule(
             args.eps, canonical.dimension, case.norm_overrides,
             p=args.p, alpha=args.alpha, m_rule_exponent=args.q,
-            horizon=canonical.horizon, t=0.0,
+            horizon=canonical.horizon,
             u_moment_override=case.u_moment_override)
     except NoFeasibleDepth as exc:
         print(f"infeasible: {exc}")

@@ -150,7 +150,11 @@ def validate_problem(problem: PdeProblem, config: MlpConfig) -> None:
     """Raise :class:`InvalidProblem` listing every violated invariant of
     the pair; return ``None`` when it is valid."""
     out: list[Violation] = []
-    if problem.dimension < 1:
+    if not is_int64(problem.dimension):
+        out.append(Violation("dimension", "NonIntegerDimension",
+                             f"dimension must be an int64 integer, "
+                             f"got {problem.dimension!r}"))
+    elif problem.dimension < 1:
         out.append(Violation("dimension", "ZeroDimension",
                              f"dimension must be >= 1, got {problem.dimension}"))
     if not problem.horizon > 0.0:

@@ -168,7 +168,12 @@ class InvalidConvention(ValueError):
 
 class CallbackContractError(ValueError):
     """A ``g`` or ``f`` callback returned an array of the wrong shape or a
-    non-finite value; the message names the stream path of the row."""
+    non-finite value; ``path``, a tuple of ints, is the stream path of the
+    row, which the message names."""
+
+    def __init__(self, message: str, path: ThetaPath):
+        super().__init__(message)
+        self.path = path
 
 
 class _Stopped(Exception):
@@ -330,16 +335,18 @@ def _checked(name: str, values, count: int, path_of) -> np.ndarray:
     ``path_of(j)`` of the first offending row j."""
     values = np.asarray(values, dtype=float)
     if values.shape != (count,):
+        path = path_of(0)
         raise CallbackContractError(
             f"{name} returned shape {values.shape}, expected ({count},); "
-            f"first row at stream path {path_of(0)}")
+            f"first row at stream path {path}", path)
     finite = np.isfinite(values)
     if not finite.all():
         j = int(np.argmin(finite))
+        path = path_of(j)
         raise CallbackContractError(
             f"{name} returned non-finite value {values[j]} (shape "
             f"{values.shape}, expected ({count},)) at stream path "
-            f"{path_of(j)}")
+            f"{path}", path)
     return values
 
 
@@ -645,8 +652,13 @@ def rmse(
 
 
 def _squared_errors(estimates, reference_value, reference_gradient):
-    """Squared errors of the estimates' values (N,) and gradients (N, d)."""
+    """Squared errors of the estimates' values (N,) and gradients (N, d);
+    ``ValueError`` naming ``reference_gradient`` unless it has shape
+    (d,)."""
     ref_g = np.asarray(reference_gradient, dtype=float)
     values = np.array([est.value for est in estimates])
     grads = np.stack([est.gradient for est in estimates])
+    if ref_g.shape != grads.shape[1:]:
+        raise ValueError(f"reference_gradient must have shape "
+                         f"{grads.shape[1:]}, got {ref_g.shape}")
     return (values - reference_value) ** 2, (grads - ref_g[None, :]) ** 2

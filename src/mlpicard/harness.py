@@ -69,23 +69,9 @@ KS_CRITICAL_1PCT = 1.628
 # Convergence studies and CSV reporting
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "case",
-    "n",
-    "M",
-    "replications",
-    "rmse_value",
-    "rmse_grad_max",
-    "combined_error",
-    "error_bound",
-    "draws",
-    "wall_seconds",
-)
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One (n, M) line of a convergence table; see CSV_COLUMNS."""
+    """One (n, M) line of a convergence table; its fields are CSV_COLUMNS."""
 
     case: str
     n: int
@@ -105,15 +91,20 @@ class ConvergenceRow:
             getattr(self, field.name)) for field in fields(self)]
 
 
+# The CSV header: the row's field names, field base as column M.
+CSV_COLUMNS = tuple("M" if field.name == "base" else field.name
+                    for field in fields(ConvergenceRow))
+
+
 def _row_error_bound(
     case: BenchmarkCase,
     canonical: PdeProblem,
     config: MlpConfig,
     s: float,
 ) -> float:
-    """A-priori bound column; NaN when no norms are supplied or the
-    (p, alpha) hypotheses exclude the configuration."""
-    if case.norm_overrides is None or config.depth < 1:
+    """A-priori bound column; NaN at depth 0 or when the (p, alpha)
+    hypotheses exclude the configuration."""
+    if config.depth < 1:
         return math.nan
     try:
         return error_bound(ErrorBoundInput(

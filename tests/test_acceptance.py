@@ -6,7 +6,8 @@ Criteria 1, 3, 4, 5 and 7 call the ``check_*`` gate functions of
 :mod:`mlpicard.harness` (the same ones ``run_test_battery`` runs at its own
 sizes); their sample sizes and stream paths are stated at the call and
 their bounds in the function docstrings.  The other criteria state every
-tolerance inline next to the assertion it guards.
+tolerance inline next to the assertion it guards.  Criterion 6 queries
+the two standard points of :func:`default_eval_points`.
 """
 
 import math
@@ -26,7 +27,6 @@ from mlpicard import (
     to_canonical,
     write_csv,
 )
-from mlpicard.cases import default_eval_points
 from mlpicard.harness import (
     CheckResult,
     check_convergence_trend,
@@ -110,6 +110,26 @@ def test_criterion_4_unbiasedness_ladder():
 def test_criterion_5_cost_ledger_matches_recursion():
     _gate("criterion 5 (draw ledger == cost recursion <= closed bound)",
           check_cost_ledger(seed=0))
+
+
+def default_eval_points(dimension: int) -> list[np.ndarray]:
+    """The two standard query points: the origin and (1,...,1)/sqrt(d).
+
+    The second point breaks coordinate symmetry so that bugs masked by
+    even/odd cancellation at the origin still surface.
+    """
+    return [
+        np.zeros(dimension),
+        np.full(dimension, 1.0 / math.sqrt(dimension)),
+    ]
+
+
+def test_default_eval_points():
+    points = default_eval_points(4)
+    assert len(points) == 2
+    assert np.array_equal(points[0], np.zeros(4))
+    assert np.allclose(points[1], np.full(4, 0.5))
+    assert np.linalg.norm(points[1]) == pytest.approx(1.0)
 
 
 def test_criterion_6_error_bound_dominates_measured_error():

@@ -1,6 +1,7 @@
 """Regularity bounds, error bound, cost recursion, and schedule solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,11 +86,32 @@ def test_cost_overflow_stops_at_first_depth_past_limit():
 
 
 def test_cost_input_validation():
-    for bad in ((0, 1, 1), (1, -1, 1), (1, 1, 0)):
-        with pytest.raises(ValueError):
-            cost_rv(*bad)
-        with pytest.raises(ValueError):
-            cost_bound_closed(*bad)
+    # Each error names its count.  cost_rv(2.5, 1, 1) returned 6.0.
+    for bad, name in (((0, 1, 1), "d"), ((1, -1, 1), "n"), ((1, 1, 0), "M"),
+                      ((2.5, 1, 1), "d"), ((True, 1, 1), "d"),
+                      ((2**63, 1, 1), "d"), ((1, 2.0, 1), "n"),
+                      ((1, np.float64(1), 1), "n"),
+                      ((1, 1, np.bool_(True)), "M")):
+        for count in (cost_rv, cost_bound_closed):
+            with pytest.raises(ValueError, match=rf"^(need )?{name} "):
+                count(*bad)
+
+
+def test_cost_counts_numpy_integers_exactly():
+    # In numpy integer arithmetic the counts wrapped: cost_rv(10, 20,
+    # np.int64(10)) returned 8080227937116955962, cost_rv(1, 8,
+    # np.int64(112)) a negative count, and cost_rv(np.int64(10), 20, 10)
+    # raised OverflowError.
+    assert cost_rv(10, 20, 10) == 1745986234671476589655172410
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cell in ((10, 20, 10), (1, 8, 112), (3, 5, 5)):
+            for i in range(3):
+                args = list(cell)
+                args[i] = np.int64(args[i])
+                for count in (cost_rv, cost_bound_closed):
+                    got = count(*args)
+                    assert type(got) is int and got == count(*cell)
 
 
 # ---------------------------------------------------------------------------

@@ -105,11 +105,14 @@ def test_validate_problem_raises_with_violation_list():
     ({}, {"root_seed": 2**64}, "root_seed", "SeedNotInt64"),
     ({}, {"root_seed": -2**63 - 1}, "root_seed", "SeedNotInt64"),
     ({}, {"root_seed": 1.5}, "root_seed", "SeedNotInt64"),
+    ({"dimension": 2.0}, {}, "dimension", "NonIntegerDimension"),
+    ({"dimension": True}, {}, "dimension", "NonIntegerDimension"),
 ])
 def test_evaluate_names_the_invalid_field(problem_kw, config_kw, field, code):
     # Each of these used to pass validation and fail later: a non-finite
     # g at the horizon's path, a TypeError inside the engine, or an
-    # OverflowError (or a silent truncation) when hashing the seed.
+    # OverflowError (or a silent truncation) when hashing the seed; a
+    # dimension of True ran as d = 1.
     with pytest.raises(InvalidProblem) as excinfo:
         evaluate(make_problem(**problem_kw), make_config(**config_kw), 0.0,
                  np.zeros(1))
@@ -121,7 +124,8 @@ def test_numpy_integers_and_int64_seed_limits_are_valid():
     for seed in (-2**63, 2**63 - 1, np.uint64(7)):
         config = make_config(depth=np.int64(2), base=np.int32(2),
                              root_seed=seed)
-        assert validate_problem(make_problem(), config) is None
+        assert validate_problem(make_problem(dimension=np.int64(2)),
+                                config) is None
 
 
 def test_backward_problem_is_fixed_point_of_canonicalization():

@@ -25,6 +25,7 @@ from mlpicard import (
     PdeProblem,
     QueryAtTerminalTime,
     builtin_case,
+    combined_error_ucl,
     cost_rv,
     evaluate,
     replicate,
@@ -520,6 +521,17 @@ def test_cost_guard_blocks_oversized_runs(monkeypatch):
     assert est.draws == 28
 
 
+def test_cost_guard_counts_a_numpy_base_exactly(monkeypatch):
+    # In np.int64 the cost of depth 8, base 112 wrapped to a negative
+    # count, which passed the guard; the estimate then died allocating
+    # 3.14 PiB.
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    with pytest.raises(DepthCostGuard,
+                       match="costs 9664249391035778784 draws > budget"):
+        evaluate(linear_problem(), MlpConfig(depth=8, base=np.int64(112)),
+                 0.0, np.array([0.0]))
+
+
 def test_overflowing_depth_fails_at_once():
     # cost_rv stops at the first depth past 128-bit accounting, so a huge
     # depth is refused without building its cost table.
@@ -588,6 +600,18 @@ def test_rmse_uses_worst_gradient_coordinate():
     report = rmse(estimates, 0.0, np.array([0.0, 0.0]))
     assert report.rmse_gradient_max == 2.0
     assert report.combined == 2.0
+
+
+@pytest.mark.parametrize("reference", [np.zeros(1), np.zeros(2), 0.0,
+                                       np.zeros((3, 1))])
+def test_reference_gradient_of_another_shape_rejected(reference):
+    # A length-1 reference was broadcast against d = 3 gradients; length 2
+    # raised numpy's broadcast error and a scalar an IndexError.
+    estimates = [FieldEstimate(0.0, np.zeros(3), 1) for _ in range(4)]
+    for statistic in (rmse, combined_error_ucl):
+        with pytest.raises(ValueError, match=r"^reference_gradient must "
+                                             r"have shape \(3,\), got "):
+            statistic(estimates, 0.0, reference)
 
 
 def test_rmse_rejects_empty_sample():

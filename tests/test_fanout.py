@@ -2,7 +2,6 @@
 error of the one-thread walk."""
 
 import hashlib
-import re
 import sys
 import threading
 import time
@@ -192,10 +191,11 @@ def test_fanout_error_names_the_one_thread_row(monkeypatch, case, workers):
         with pytest.raises(CallbackContractError) as excinfo:
             evaluate(problem, config, 0.25, x0, theta=theta)
         messages.append(str(excinfo.value))
+        assert excinfo.value.path == expected
+        assert all(type(v) is int for v in excinfo.value.path)
         assert set(threading.enumerate()) == threads
     assert messages[1] == messages[0]
-    named = re.search(r"stream path \(([-\d, ]+)\)", messages[0]).group(1)
-    assert tuple(int(v) for v in named.split(",")) == expected
+    assert f"stream path {expected}" in messages[0]
     callback = "g" if case == "root-g" else "f"
     assert messages[0].startswith(f"{callback} returned non-finite value nan")
 
@@ -267,10 +267,11 @@ def test_error_names_a_later_node_of_a_child_group(monkeypatch, callback):
         problem = replace(problem, nonlinearity=lambda t, x, y, z: np.where(
             (t == s_bad) & np.all(x == x_bad, axis=1), np.nan, f(t, x, y, z)))
     assert cost_rv(d, 5, 5) >= engine.FANOUT_MIN_DRAWS
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(engine, "_workers", lambda: workers)
         with pytest.raises(CallbackContractError) as excinfo:
             evaluate(problem, config, 0.25, x0, theta=theta)
+        assert excinfo.value.path == expected, workers
         message = str(excinfo.value)
         assert message.startswith(f"{callback} returned non-finite value nan")
         assert f"at stream path {expected}" in message, workers

@@ -1,9 +1,10 @@
 """Source hygiene: no module imports a name it never uses, no private
 helper or method of the package is left without a caller outside the
 tests, no public function keeps a defaulted parameter that only the tests
-set, no function leaves a parameter unread, the solver reads every field
-of ``PdeProblem``, no subcommand leaves a flag unread, and the public
-surface is the one the README documents.
+set or that every call sets to its default, no function leaves a
+parameter unread, the solver reads every field of ``PdeProblem``, no
+subcommand leaves a flag unread, and the public surface is the one the
+README documents.
 
 No linter is configured for the project, so this scans the package and the
 test modules with the standard library's ``ast``.  ``from __future__``
@@ -149,17 +150,17 @@ def test_no_dead_private_helpers():
         {path.stem: path.read_text() for path in bench.glob("*.py")}) == []
 
 
-def unpassed_defaults(package: dict[str, str],
-                      callers: dict[str, str] | None = None) -> list[str]:
-    """Defaulted parameters of the module-level public functions of
-    ``package`` (module name -> source) that no call in ``package`` or
-    ``callers`` passes, by position or by keyword, as ``module.function(
-    name=)``.  A call names a function directly, through an import alias or
-    as an attribute; a ``*args`` or ``**kwargs`` argument counts as passing
-    every parameter it could reach.  Tests are not callers: a parameter only
-    a test sets counts as unused."""
+def _default_passes(package: dict[str, str],
+                    callers: dict[str, str] | None) -> dict:
+    """``module.function(name=)`` -> (default, arguments) for each
+    defaulted parameter of the module-level public functions of
+    ``package`` (module name -> source): the argument of each call in
+    ``package`` or ``callers`` that passes it, by position or by keyword,
+    and ``...`` for a ``*args`` or ``**kwargs`` argument that could reach
+    it.  A call names a function directly, through an import alias or as
+    an attribute."""
     trees = {name: ast.parse(source) for name, source in package.items()}
-    params = {}  # (function, parameter) -> (module, position or None)
+    params = {}  # (function, parameter) -> (module, position, default)
     for module, tree in trees.items():
         for node in tree.body:
             if (not isinstance(node, ast.FunctionDef)
@@ -168,14 +169,14 @@ def unpassed_defaults(package: dict[str, str],
             args = node.args
             positional = args.posonlyargs + args.args
             first = len(positional) - len(args.defaults)
-            for i, arg in enumerate(positional[first:], first):
-                params[node.name, arg.arg] = (module, i)
+            for i, (arg, default) in enumerate(
+                    zip(positional[first:], args.defaults), first):
+                params[node.name, arg.arg] = (module, i, default)
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    params[node.name, arg.arg] = (module, None)
-    passed = set()
-    for tree in [*trees.values(),
-                 *(ast.parse(source) for source in (callers or {}).values())]:
+                    params[node.name, arg.arg] = (module, None, default)
+    passed = {key: [] for key in params}
+    for tree in [*trees.values(), *map(ast.parse, (callers or {}).values())]:
         aliases = {alias.asname: alias.name for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom)
                    for alias in node.names if alias.asname}
@@ -185,17 +186,53 @@ def unpassed_defaults(package: dict[str, str],
             func = call.func
             name = (aliases.get(func.id, func.id) if isinstance(func, ast.Name)
                     else getattr(func, "attr", None))
-            keywords = {keyword.arg for keyword in call.keywords}
+            keywords = {keyword.arg: keyword.value
+                        for keyword in call.keywords}
             starred = any(isinstance(arg, ast.Starred) for arg in call.args)
-            for function, param in params:
-                position = params[function, param][1]
-                if function == name and (
-                        param in keywords or None in keywords
-                        or position is not None
-                        and (position < len(call.args) or starred)):
-                    passed.add((function, param))
-    return sorted(f"{params[key][0]}.{key[0]}({key[1]}=)"
-                  for key in params.keys() - passed)
+            for (function, param), (_, position, _) in params.items():
+                if function != name:
+                    continue
+                if param in keywords:
+                    passed[function, param].append(keywords[param])
+                elif position is not None and position < len(call.args) \
+                        and not starred:
+                    passed[function, param].append(call.args[position])
+                elif None in keywords or position is not None and starred:
+                    passed[function, param].append(...)
+    return {f"{module}.{function}({param}=)": (default, passed[function, param])
+            for (function, param), (module, _, default) in params.items()}
+
+
+def unpassed_defaults(package: dict[str, str],
+                      callers: dict[str, str] | None = None) -> list[str]:
+    """Defaulted parameters of the module-level public functions of
+    ``package`` (module name -> source) that no call in ``package`` or
+    ``callers`` passes, as ``module.function(name=)``.  Tests are not
+    callers: a parameter only a test sets counts as unused."""
+    return sorted(name for name, (_, args)
+                  in _default_passes(package, callers).items() if not args)
+
+
+def default_literal_passes(package: dict[str, str],
+                           callers: dict[str, str] | None = None
+                           ) -> list[str]:
+    """Defaulted parameters of the module-level public functions of
+    ``package`` that some call in ``package`` or ``callers`` passes, and
+    every such call with the default's own literal (``0.0`` is not ``0``),
+    as ``module.function(name=)``: the parameter never takes another
+    value.  An argument that is not a literal, or a ``*args`` or
+    ``**kwargs`` one that could reach the parameter, keeps it."""
+    def literal(node):
+        try:
+            value = ast.literal_eval(node)
+        except ValueError:
+            return ...
+        return type(value), value
+
+    return sorted(name for name, (default, args)
+                  in _default_passes(package, callers).items()
+                  if args and all(literal(arg) == literal(default) != ...
+                                  for arg in args))
 
 
 def test_unpassed_default_scanner_flags_only_unset_parameters():
@@ -223,6 +260,35 @@ def test_no_parameter_only_tests_set():
     # The console script calls main() bare, to parse sys.argv; argv is
     # for callers that parse a list of their own.
     assert [name for name in unpassed if name != "cli.main(argv=)"] == []
+
+
+def test_default_literal_scanner_flags_only_parameters_fixed_at_default():
+    sources = {"a": ("def solve(x, t=0.0, tol=1e-6, *, steps=10, log=None):\n"
+                     "    return x\n"
+                     "def scale(x, by=2):\n    return x * by\n"
+                     "def shift(x, by=-1):\n    return x + by\n"
+                     "def spread(x, a=0, b=0):\n    return x\n"
+                     "def _private(x, unused=0):\n    return x\n"),
+               "b": ("from a import solve as run, scale, shift, spread\n"
+                     "run(1, 0.0, steps=10)\nrun(2, t=0.0, tol=1e-3)\n"
+                     "scale(1, 2)\nscale(1, by=2.0)\nshift(1, -1)\n"
+                     "spread(1, *[2])\nspread(1, a=0)\n_private(1, 0)\n")}
+    # t is 0.0 and steps 10 at every call that passes them; 2.0 is not
+    # the literal 2; *[2] could reach a and b; no call passes log, which
+    # unpassed_defaults reports.  Only bench/ passes t another value.
+    bench = {"worker": "import a\na.solve(1, t=0.5)\n"}
+    assert default_literal_passes(sources, bench) == [
+        "a.shift(by=)", "a.solve(steps=)"]
+    assert default_literal_passes(sources) == [
+        "a.shift(by=)", "a.solve(steps=)", "a.solve(t=)"]
+
+
+def test_no_parameter_fixed_at_its_default():
+    package = ROOT / "src" / "mlpicard"
+    bench = ROOT / "bench"
+    assert default_literal_passes(
+        {path.stem: path.read_text() for path in package.glob("*.py")},
+        {path.stem: path.read_text() for path in bench.glob("*.py")}) == []
 
 
 def unused_parameters(package: dict[str, str]) -> list[str]:
